@@ -3,15 +3,14 @@
 //! restreaming extension — the data behind the "partitioning cost" column of
 //! the evaluation.
 //!
-//! The `hyperpraw_basic`/`hyperpraw_aware` entries time the unified
-//! restreaming engine's sequential strategy under both connectivity
-//! providers: the `…_csr` ids re-deduplicate neighbourhoods through the
-//! epoch scratch on every visit (the pre-adjacency default, and the seed
-//! driver's cost model), the `…_adj` ids answer from the precomputed
-//! dedup adjacency (`Connectivity::Auto`, the new default) — same
-//! partitions bit for bit, so the ratio between the two ids is pure
-//! provider speedup. The `hyperpraw_steal` entries sweep the work-stealing
-//! strategy over a thread ladder (1 is the sequential-dispatch floor). The
+//! The `hyperpraw_basic`/`hyperpraw_aware`/`hyperpraw_refine` entries time
+//! the unified restreaming engine's sequential strategy over the
+//! precomputed dedup adjacency; their `_adj` suffix dates from when an
+//! epoch-traversal provider was benchmarked beside it, and is kept so the
+//! ids stay comparable with earlier snapshots. The `hyperpraw_parallel`
+//! and `hyperpraw_steal` entries run the same driver with a bulk-
+//! synchronous or work-stealing schedule over a thread ladder (steal/1 is
+//! the sequential-dispatch floor). The
 //! `lowmem_bsp_sketched` entries time the engine combination none of the
 //! pre-engine drivers could express: bulk-synchronous workers over the
 //! sketched out-of-core connectivity provider. Medians land in
@@ -20,7 +19,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use hyperpraw_bench::Testbed;
-use hyperpraw_core::{Connectivity, HyperPraw, HyperPrawConfig, ParallelConfig, ParallelHyperPraw};
+use hyperpraw_core::{HyperPraw, HyperPrawConfig, ParallelConfig};
 use hyperpraw_hypergraph::generators::{mesh_hypergraph, MeshConfig};
 use hyperpraw_lowmem::{LowMemConfig, LowMemPartitioner};
 use hyperpraw_multilevel::{MultilevelConfig, MultilevelPartitioner};
@@ -34,42 +33,33 @@ fn bench_partitioners(c: &mut Criterion) {
     let hg = mesh_hypergraph(&MeshConfig::new(3_000, 16));
     let p = 24usize;
     let testbed = Testbed::archer(p, 0, 1);
-    let providers = [("csr", Connectivity::Csr), ("adj", Connectivity::Auto)];
 
     group.bench_function(BenchmarkId::new("zoltan_like", p), |b| {
         b.iter(|| MultilevelPartitioner::new(MultilevelConfig::default()).partition(&hg, p as u32))
     });
-    for (tag, connectivity) in providers {
-        let config = HyperPrawConfig::default().with_connectivity(connectivity);
-        group.bench_function(BenchmarkId::new(format!("hyperpraw_basic_{tag}"), p), |b| {
-            b.iter(|| HyperPraw::basic(config, p as u32).partition(&hg))
-        });
-        group.bench_function(BenchmarkId::new(format!("hyperpraw_aware_{tag}"), p), |b| {
-            b.iter(|| HyperPraw::aware(config, testbed.cost.clone()).partition(&hg))
-        });
-    }
+    let config = HyperPrawConfig::default();
+    group.bench_function(BenchmarkId::new("hyperpraw_basic_adj", p), |b| {
+        b.iter(|| HyperPraw::basic(config, p as u32).partition(&hg))
+    });
+    group.bench_function(BenchmarkId::new("hyperpraw_aware_adj", p), |b| {
+        b.iter(|| HyperPraw::aware(config, testbed.cost.clone()).partition(&hg))
+    });
     // Multi-pass refinement is where the precomputation amortises hardest:
     // a frozen-α refinement run keeps restreaming until the comm cost
     // converges, revisiting every neighbourhood once per pass.
-    for (tag, connectivity) in providers {
-        let config = HyperPrawConfig {
-            initial_alpha: Some(2.0),
-            ..HyperPrawConfig::default().with_connectivity(connectivity)
-        };
-        group.bench_function(
-            BenchmarkId::new(format!("hyperpraw_refine_{tag}"), p),
-            |b| b.iter(|| HyperPraw::basic(config, p as u32).partition(&hg)),
-        );
-    }
+    let refine = HyperPrawConfig {
+        initial_alpha: Some(2.0),
+        ..config
+    };
+    group.bench_function(BenchmarkId::new("hyperpraw_refine_adj", p), |b| {
+        b.iter(|| HyperPraw::basic(refine, p as u32).partition(&hg))
+    });
     for threads in [2usize, 4] {
         group.bench_function(BenchmarkId::new("hyperpraw_parallel", threads), |b| {
             b.iter(|| {
-                ParallelHyperPraw::new(
-                    HyperPrawConfig::default(),
-                    ParallelConfig::with_threads(threads),
-                    testbed.cost.clone(),
-                )
-                .partition(&hg)
+                HyperPraw::new(HyperPrawConfig::default(), testbed.cost.clone())
+                    .with_parallel(ParallelConfig::with_threads(threads))
+                    .partition(&hg)
             })
         });
     }
@@ -79,12 +69,9 @@ fn bench_partitioners(c: &mut Criterion) {
     for threads in [1usize, 2, 4, 8] {
         group.bench_function(BenchmarkId::new("hyperpraw_steal", threads), |b| {
             b.iter(|| {
-                ParallelHyperPraw::new(
-                    HyperPrawConfig::default(),
-                    ParallelConfig::stealing(threads),
-                    testbed.cost.clone(),
-                )
-                .partition(&hg)
+                HyperPraw::new(HyperPrawConfig::default(), testbed.cost.clone())
+                    .with_parallel(ParallelConfig::stealing(threads))
+                    .partition(&hg)
             })
         });
     }

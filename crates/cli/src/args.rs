@@ -1,14 +1,14 @@
 //! Hand-rolled command-line argument parsing for the `hyperpraw` tool.
 //!
-//! Algorithm and connectivity selection parse straight into the facade's
-//! [`Algorithm`] and [`Connectivity`] types — the CLI owns no partitioner
+//! Algorithm and parallel-mode selection parse straight into the facade's
+//! [`Algorithm`] and [`ParallelMode`] types — the CLI owns no partitioner
 //! enums of its own.
 
 use std::fmt;
 use std::path::PathBuf;
 
 use hyperpraw::api::Algorithm;
-use hyperpraw::core::{Connectivity, ParallelMode};
+use hyperpraw::core::ParallelMode;
 
 /// Machine model preset selectable from the command line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -160,9 +160,6 @@ pub enum Command {
         machine: MachinePreset,
         /// Imbalance tolerance.
         imbalance: f64,
-        /// Connectivity provider for the HyperPRAW algorithms (ignored by
-        /// the multilevel and round-robin baselines).
-        connectivity: Connectivity,
         /// Worker threads for the parallel algorithms (`None` keeps each
         /// driver's default; `0` auto-detects the machine parallelism).
         threads: Option<usize>,
@@ -286,8 +283,7 @@ pub fn usage() -> String {
        hyperpraw partition <input> --parts N\n\
                            [--algorithm aware|basic|parallel|parallel-basic|lowmem|lowmem-exact|multilevel|round-robin]\n\
                            [--machine archer|cluster|cloud|flat] [--imbalance 1.1]\n\
-                           [--connectivity csr|adjacency|auto] [--threads N|0=auto]\n\
-                           [--parallel-mode bsp|steal] [--seed N]\n\
+                           [--threads N|0=auto] [--parallel-mode bsp|steal] [--seed N]\n\
                            [--output assignment.txt] [--json] [--json-out report.json]\n\
                            [--metrics-out metrics.json]\n\
        hyperpraw lowmem    <input> --parts N [--budget-mib 64] [--exact] [--restream K]\n\
@@ -337,14 +333,6 @@ fn parse_algorithm(value: &str) -> Result<Algorithm, ParseError> {
     })
 }
 
-fn parse_connectivity(value: &str) -> Result<Connectivity, ParseError> {
-    Connectivity::parse(value).map_err(|_| ParseError::InvalidValue {
-        option: "--connectivity".into(),
-        value: value.into(),
-        expected: Connectivity::expected_names().into(),
-    })
-}
-
 fn parse_parallel_mode(value: &str) -> Result<ParallelMode, ParseError> {
     ParallelMode::parse(value).ok_or_else(|| ParseError::InvalidValue {
         option: "--parallel-mode".into(),
@@ -378,7 +366,6 @@ impl Cli {
                 let mut algorithm = Algorithm::HyperPrawAware;
                 let mut machine = MachinePreset::Archer;
                 let mut imbalance = 1.1f64;
-                let mut connectivity = Connectivity::default();
                 let mut threads: Option<usize> = None;
                 let mut parallel_mode = ParallelMode::Bsp;
                 let mut seed = 2019u64;
@@ -401,9 +388,6 @@ impl Cli {
                         }
                         "--imbalance" => {
                             imbalance = parse_number(opt, value(&rest, &mut i)?)?;
-                        }
-                        "--connectivity" | "-c" => {
-                            connectivity = parse_connectivity(value(&rest, &mut i)?)?;
                         }
                         "--threads" | "-t" => {
                             threads = Some(parse_number(opt, value(&rest, &mut i)?)?);
@@ -437,7 +421,6 @@ impl Cli {
                         algorithm,
                         machine,
                         imbalance,
-                        connectivity,
                         threads,
                         parallel_mode,
                         seed,
@@ -755,7 +738,7 @@ mod tests {
     fn parses_partition_with_defaults_and_overrides() {
         let cli = Cli::parse(argv(
             "partition app.hgr --parts 96 -a multilevel -m cloud --imbalance 1.05 \
-             --connectivity csr --threads 3 --seed 7 -o out.txt --json --json-out r.json \
+             --threads 3 --seed 7 -o out.txt --json --json-out r.json \
              --metrics-out m.json",
         ))
         .unwrap();
@@ -766,7 +749,6 @@ mod tests {
                 algorithm,
                 machine,
                 imbalance,
-                connectivity,
                 threads,
                 parallel_mode,
                 seed,
@@ -780,7 +762,6 @@ mod tests {
                 assert_eq!(algorithm, Algorithm::MultilevelBaseline);
                 assert_eq!(machine, MachinePreset::Cloud);
                 assert!((imbalance - 1.05).abs() < 1e-12);
-                assert_eq!(connectivity, Connectivity::Csr);
                 assert_eq!(threads, Some(3));
                 assert_eq!(parallel_mode, ParallelMode::Bsp);
                 assert_eq!(seed, 7);
@@ -805,32 +786,24 @@ mod tests {
     }
 
     #[test]
-    fn connectivity_defaults_to_auto_and_rejects_unknown_values() {
+    fn partition_defaults_and_rejects_the_retired_connectivity_flag() {
         let cli = Cli::parse(argv("partition app.hgr --parts 8")).unwrap();
         match cli.command {
             Command::Partition {
-                connectivity,
-                algorithm,
-                json,
-                ..
+                algorithm, json, ..
             } => {
-                assert_eq!(connectivity, Connectivity::Auto);
                 assert_eq!(algorithm, Algorithm::HyperPrawAware);
                 assert!(!json);
             }
             other => panic!("wrong command {other:?}"),
         }
-        let cli = Cli::parse(argv("partition app.hgr --parts 8 -c adj")).unwrap();
-        match cli.command {
-            Command::Partition { connectivity, .. } => {
-                assert_eq!(connectivity, Connectivity::Adjacency);
-            }
-            other => panic!("wrong command {other:?}"),
+        for retired in ["--connectivity csr", "-c adj"] {
+            let line = format!("partition app.hgr --parts 8 {retired}");
+            assert!(matches!(
+                Cli::parse(argv(&line)).unwrap_err(),
+                ParseError::UnknownOption(_)
+            ));
         }
-        assert!(matches!(
-            Cli::parse(argv("partition app.hgr --parts 8 --connectivity hashmap")).unwrap_err(),
-            ParseError::InvalidValue { .. }
-        ));
     }
 
     #[test]

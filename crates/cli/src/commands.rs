@@ -7,8 +7,9 @@
 //! `--json-out`).
 
 use std::fmt;
-use std::fs;
-use std::path::Path;
+use std::fs::{self, OpenOptions};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use hyperpraw::api::{Algorithm, PartitionError, PartitionJob};
 use hyperpraw::core::metrics::QualityReport;
@@ -66,6 +67,57 @@ impl From<PartitionError> for CommandError {
             other => Self::Invalid(other.to_string()),
         }
     }
+}
+
+/// A file created exclusively under a fresh name and removed when the
+/// guard drops — so a scratch file never clobbers another run's and never
+/// outlives the command, whichever way it exits.
+#[derive(Debug)]
+struct TempFile(PathBuf);
+
+impl TempFile {
+    /// Creates an empty `{prefix}-{pid}-{n}.{ext}` file in `dir`, where `n`
+    /// counts up past names already taken.
+    fn create(dir: &Path, prefix: &str, ext: &str) -> std::io::Result<Self> {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        loop {
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let path = dir.join(format!("{prefix}-{}-{n}.{ext}", std::process::id()));
+            match OpenOptions::new().write(true).create_new(true).open(&path) {
+                Ok(_) => return Ok(Self(path)),
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        fs::remove_file(&self.0).ok();
+    }
+}
+
+/// Converts an `.hgr` / edge-list `input` into a temporary `.hpz` in `dir`;
+/// the file is gone again once the returned guard drops, or at once when
+/// the conversion fails.
+fn convert_to_temp_hpz(
+    input: &Path,
+    dir: &Path,
+    options: &StreamOptions,
+) -> Result<TempFile, CommandError> {
+    let hpz = TempFile::create(dir, "hyperpraw-lowmem", "hpz")?;
+    storage::convert_file(
+        input,
+        hpz.path(),
+        storage::DEFAULT_BLOCK_TARGET_BYTES,
+        options,
+    )?;
+    Ok(hpz)
 }
 
 /// Loads a hypergraph, dispatching on the file extension: `.hgr` (hMetis),
@@ -230,7 +282,6 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
             algorithm,
             machine,
             imbalance,
-            connectivity,
             threads,
             parallel_mode,
             seed,
@@ -250,7 +301,6 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
                 .cost(cost)
                 .seed(*seed)
                 .imbalance_tolerance(*imbalance)
-                .connectivity(*connectivity)
                 .parallel_mode(*parallel_mode)
                 .registry(&metrics);
             if let Some(t) = threads {
@@ -361,41 +411,24 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
             }
             if use_compressed {
                 // Run over the block-compressed CSR, converting first when
-                // the input is still an .hgr / edge list.
+                // the input is still an .hgr / edge list. The temporary
+                // .hpz is removed when `temp_hpz` drops, on every path.
                 let temp_hpz = if input_is_compressed {
                     None
                 } else {
-                    let tmp = std::env::temp_dir().join(format!(
-                        "hyperpraw-lowmem-{}-{}.hpz",
-                        std::process::id(),
-                        seed
-                    ));
-                    storage::convert_file(
-                        input,
-                        &tmp,
-                        storage::DEFAULT_BLOCK_TARGET_BYTES,
-                        &options,
-                    )?;
-                    Some(tmp)
+                    Some(convert_to_temp_hpz(input, &std::env::temp_dir(), &options)?)
                 };
-                let hpz_path = temp_hpz.as_deref().unwrap_or(input.as_path());
+                let hpz_path = temp_hpz.as_ref().map_or(input.as_path(), TempFile::path);
                 let reader = storage::CompressedReader::open_file(hpz_path)
                     .map_err(|e| CommandError::Io(e.to_string()))?;
                 let meta = *reader.meta();
                 if (*parts as u64) > meta.num_vertices {
-                    if let Some(tmp) = &temp_hpz {
-                        fs::remove_file(tmp).ok();
-                    }
                     return Err(CommandError::Invalid(format!(
                         "cannot split {} vertices into {parts} parts",
                         meta.num_vertices
                     )));
                 }
-                let result = job.run_compressed_file(hpz_path);
-                if let Some(tmp) = &temp_hpz {
-                    fs::remove_file(tmp).ok();
-                }
-                let mut report = result?;
+                let mut report = job.run_compressed_file(hpz_path)?;
                 // The original edge-major file (when we have one) back-fills
                 // the cut metrics; a bare .hpz leaves quality deferred.
                 if !input_is_compressed {
@@ -601,22 +634,44 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hyperpraw::core::{Connectivity, ParallelMode};
+    use hyperpraw::core::{HyperPraw, HyperPrawConfig, ParallelMode};
     use hyperpraw::hypergraph::HypergraphBuilder;
 
-    fn temp_path(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("hyperpraw_cli_{}_{name}", std::process::id()))
+    /// A per-test scratch directory: unique per call (an atomic counter
+    /// plus the test name), removed with everything in it on drop — so
+    /// tests running in parallel never share a file.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(test: &str) -> Self {
+            static NEXT: AtomicU64 = AtomicU64::new(0);
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let dir = std::env::temp_dir()
+                .join(format!("hyperpraw_cli_{}_{n}_{test}", std::process::id()));
+            fs::create_dir_all(&dir).unwrap();
+            Self(dir)
+        }
+
+        fn path(&self, name: &str) -> PathBuf {
+            self.0.join(name)
+        }
+
+        fn sample_hgr(&self) -> PathBuf {
+            let path = self.path("sample.hgr");
+            let mut b = HypergraphBuilder::new(8);
+            b.add_hyperedge([0u32, 1, 2]);
+            b.add_hyperedge([2u32, 3, 4]);
+            b.add_hyperedge([4u32, 5, 6, 7]);
+            b.add_hyperedge([0u32, 7]);
+            hmetis::write_hgr_file(&b.build(), &path).unwrap();
+            path
+        }
     }
 
-    fn sample_hgr() -> std::path::PathBuf {
-        let path = temp_path("sample.hgr");
-        let mut b = HypergraphBuilder::new(8);
-        b.add_hyperedge([0u32, 1, 2]);
-        b.add_hyperedge([2u32, 3, 4]);
-        b.add_hyperedge([4u32, 5, 6, 7]);
-        b.add_hyperedge([0u32, 7]);
-        hmetis::write_hgr_file(&b.build(), &path).unwrap();
-        path
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            fs::remove_dir_all(&self.0).ok();
+        }
     }
 
     /// Builder for `Command::Partition` literals in tests.
@@ -624,7 +679,6 @@ mod tests {
         input: std::path::PathBuf,
         parts: u32,
         algorithm: Algorithm,
-        connectivity: Connectivity,
         threads: Option<usize>,
         parallel_mode: ParallelMode,
         seed: u64,
@@ -638,7 +692,6 @@ mod tests {
                 input,
                 parts,
                 algorithm: Algorithm::HyperPrawBasic,
-                connectivity: Connectivity::Auto,
                 threads: None,
                 parallel_mode: ParallelMode::Bsp,
                 seed: 1,
@@ -654,7 +707,6 @@ mod tests {
                 algorithm: self.algorithm,
                 machine: MachinePreset::Flat,
                 imbalance: 1.2,
-                connectivity: self.connectivity,
                 threads: self.threads,
                 parallel_mode: self.parallel_mode,
                 seed: self.seed,
@@ -668,37 +720,38 @@ mod tests {
 
     #[test]
     fn load_dispatches_on_extension() {
-        let path = sample_hgr();
+        let dir = TempDir::new("load_dispatches_on_extension");
+        let path = dir.sample_hgr();
         let hg = load_hypergraph(&path).unwrap();
         assert_eq!(hg.num_vertices(), 8);
         assert_eq!(hg.num_hyperedges(), 4);
-        fs::remove_file(path).ok();
     }
 
     #[test]
     fn assignment_round_trips() {
+        let dir = TempDir::new("assignment_round_trips");
         let part = Partition::round_robin(10, 3);
-        let path = temp_path("assignment.txt");
+        let path = dir.path("assignment.txt");
         write_assignment(&path, &part).unwrap();
         let back = read_assignment(&path, 10).unwrap();
         assert_eq!(back.assignment(), part.assignment());
-        fs::remove_file(path).ok();
     }
 
     #[test]
     fn assignment_length_mismatch_is_reported() {
+        let dir = TempDir::new("assignment_length_mismatch_is_reported");
         let part = Partition::round_robin(5, 2);
-        let path = temp_path("short.txt");
+        let path = dir.path("short.txt");
         write_assignment(&path, &part).unwrap();
         let err = read_assignment(&path, 10).unwrap_err();
         assert!(err.to_string().contains("10 vertices"));
-        fs::remove_file(path).ok();
     }
 
     #[test]
     fn partition_command_writes_an_assignment_file() {
-        let input = sample_hgr();
-        let output = temp_path("out_assignment.txt");
+        let dir = TempDir::new("partition_command_writes_an_assignment_file");
+        let input = dir.sample_hgr();
+        let output = dir.path("out_assignment.txt");
         let cli = Cli {
             command: PartitionArgs {
                 output: Some(output.clone()),
@@ -710,13 +763,12 @@ mod tests {
         let hg = load_hypergraph(&input).unwrap();
         let part = read_assignment(&output, hg.num_vertices()).unwrap();
         assert!(part.num_parts() <= 2);
-        fs::remove_file(input).ok();
-        fs::remove_file(output).ok();
     }
 
     #[test]
     fn every_algorithm_dispatches_through_the_partition_command() {
-        let input = sample_hgr();
+        let dir = TempDir::new("every_algorithm_dispatches_through_the_partition_command");
+        let input = dir.sample_hgr();
         for algorithm in Algorithm::all() {
             execute(&Cli {
                 command: PartitionArgs {
@@ -727,13 +779,13 @@ mod tests {
             })
             .unwrap_or_else(|e| panic!("{}: {e}", algorithm.name()));
         }
-        fs::remove_file(input).ok();
     }
 
     #[test]
     fn json_out_writes_a_partition_report() {
-        let input = sample_hgr();
-        let json_out = temp_path("report.json");
+        let dir = TempDir::new("json_out_writes_a_partition_report");
+        let input = dir.sample_hgr();
+        let json_out = dir.path("report.json");
         execute(&Cli {
             command: PartitionArgs {
                 json_out: Some(json_out.clone()),
@@ -746,39 +798,35 @@ mod tests {
         assert!(json.contains("\"algorithm\": \"hyperpraw-basic\""));
         assert!(json.contains("\"metrics\""));
         assert!(json.contains("\"config\""));
-        fs::remove_file(input).ok();
-        fs::remove_file(json_out).ok();
     }
 
     #[test]
-    fn partition_command_is_identical_across_connectivity_providers() {
-        // The provider axis must be quality-neutral all the way through the
-        // CLI: the same invocation with --connectivity csr/adjacency/auto
-        // writes the same assignment file.
-        let input = sample_hgr();
-        let mut assignments = Vec::new();
-        for choice in [
-            Connectivity::Csr,
-            Connectivity::Adjacency,
-            Connectivity::Auto,
-        ] {
-            let output = temp_path(&format!("conn_{choice:?}.txt"));
-            execute(&Cli {
-                command: PartitionArgs {
-                    connectivity: choice,
-                    seed: 3,
-                    output: Some(output.clone()),
-                    ..PartitionArgs::new(input.clone(), 2)
-                }
-                .command(),
-            })
-            .unwrap();
-            assignments.push(fs::read_to_string(&output).unwrap());
-            fs::remove_file(output).ok();
-        }
-        fs::remove_file(input).ok();
-        assert_eq!(assignments[0], assignments[1]);
-        assert_eq!(assignments[0], assignments[2]);
+    fn partition_command_matches_the_direct_driver() {
+        // The CLI adds no partitioning logic of its own: the assignment it
+        // writes is the one the in-memory driver returns for the same
+        // configuration.
+        let dir = TempDir::new("partition_command_matches_the_direct_driver");
+        let input = dir.sample_hgr();
+        let output = dir.path("direct.txt");
+        execute(&Cli {
+            command: PartitionArgs {
+                seed: 3,
+                output: Some(output.clone()),
+                ..PartitionArgs::new(input.clone(), 2)
+            }
+            .command(),
+        })
+        .unwrap();
+        let hg = load_hypergraph(&input).unwrap();
+        let direct = HyperPraw::basic(
+            HyperPrawConfig::default()
+                .with_seed(3)
+                .with_imbalance_tolerance(1.2),
+            2,
+        )
+        .partition(&hg);
+        let written = read_assignment(&output, hg.num_vertices()).unwrap();
+        assert_eq!(written.assignment(), direct.partition.assignment());
     }
 
     /// Builder for `Command::LowMem` literals in tests (enum variants do
@@ -843,8 +891,9 @@ mod tests {
 
     #[test]
     fn lowmem_command_partitions_in_one_pass_and_writes_an_assignment() {
-        let input = sample_hgr();
-        let output = temp_path("lowmem_assignment.txt");
+        let dir = TempDir::new("lowmem_command_partitions_in_one_pass_and_writes_an_assignment");
+        let input = dir.sample_hgr();
+        let output = dir.path("lowmem_assignment.txt");
         for exact in [false, true] {
             execute(&Cli {
                 command: LowMemArgs {
@@ -861,16 +910,15 @@ mod tests {
             let part = read_assignment(&output, hg.num_vertices()).unwrap();
             assert!(part.num_parts() <= 2);
         }
-        fs::remove_file(input).ok();
-        fs::remove_file(output).ok();
     }
 
     #[test]
     fn convert_then_compressed_lowmem_matches_the_transpose_path() {
         // The CI pipeline scenario: generate -> convert -> partition the
         // compressed file, diff against the uncompressed stream path.
-        let input = sample_hgr();
-        let hpz = temp_path("sample.hpz");
+        let dir = TempDir::new("convert_then_compressed_lowmem_matches_the_transpose_path");
+        let input = dir.sample_hgr();
+        let hpz = dir.path("sample.hpz");
         execute(&Cli {
             command: Command::Convert {
                 input: input.clone(),
@@ -881,9 +929,9 @@ mod tests {
         .unwrap();
         assert!(storage::is_compressed_file(&hpz));
 
-        let from_transpose = temp_path("assignment_transpose.txt");
-        let from_compressed = temp_path("assignment_compressed.txt");
-        let from_hpz = temp_path("assignment_hpz.txt");
+        let from_transpose = dir.path("assignment_transpose.txt");
+        let from_compressed = dir.path("assignment_compressed.txt");
+        let from_hpz = dir.path("assignment_hpz.txt");
         // Uncompressed baseline.
         execute(&Cli {
             command: LowMemArgs {
@@ -922,19 +970,43 @@ mod tests {
         let baseline = fs::read_to_string(&from_transpose).unwrap();
         assert_eq!(baseline, fs::read_to_string(&from_compressed).unwrap());
         assert_eq!(baseline, fs::read_to_string(&from_hpz).unwrap());
-        for p in [&input, &hpz, &from_transpose, &from_compressed, &from_hpz] {
-            fs::remove_file(p).ok();
-        }
+    }
+
+    #[test]
+    fn temp_hpz_is_removed_on_a_failed_conversion_and_when_dropped() {
+        let dir = TempDir::new("temp_hpz_is_removed_on_a_failed_conversion_and_when_dropped");
+        let scratch = dir.path("scratch");
+        fs::create_dir(&scratch).unwrap();
+        let is_empty = || fs::read_dir(&scratch).unwrap().next().is_none();
+        let options = StreamOptions::default();
+
+        // Error path: the guard's file exists before the conversion reads
+        // its input, so a failure must not leave it behind.
+        let missing = dir.path("missing.hgr");
+        assert!(convert_to_temp_hpz(&missing, &scratch, &options).is_err());
+        assert!(is_empty(), "failed conversion leaked its temp file");
+
+        // Success path: concurrent conversions get distinct files, each
+        // gone once its guard drops.
+        let input = dir.sample_hgr();
+        let a = convert_to_temp_hpz(&input, &scratch, &options).unwrap();
+        let b = convert_to_temp_hpz(&input, &scratch, &options).unwrap();
+        assert_ne!(a.path(), b.path());
+        assert!(storage::is_compressed_file(a.path()));
+        drop(a);
+        drop(b);
+        assert!(is_empty(), "dropped guards left their temp files");
     }
 
     #[test]
     fn lowmem_command_runs_bsp_sketched_restreaming_end_to_end() {
+        let dir = TempDir::new("lowmem_command_runs_bsp_sketched_restreaming_end_to_end");
         // The acceptance scenario of the engine refactor: bulk-synchronous
         // workers over the sketched connectivity provider, with multi-pass
         // restreaming and sketch rebuilds, straight from the CLI.
-        let input = sample_hgr();
-        let output = temp_path("lowmem_bsp_assignment.txt");
-        let json_out = temp_path("lowmem_bsp_report.json");
+        let input = dir.sample_hgr();
+        let output = dir.path("lowmem_bsp_assignment.txt");
+        let json_out = dir.path("lowmem_bsp_report.json");
         execute(&Cli {
             command: LowMemArgs {
                 passes: 2,
@@ -956,20 +1028,18 @@ mod tests {
         assert!(json.contains("\"lowmem\": {"));
         // The streamed quality evaluation back-fills the cut metrics.
         assert!(!json.contains("\"hyperedge_cut\": null"));
-        fs::remove_file(input).ok();
-        fs::remove_file(output).ok();
-        fs::remove_file(json_out).ok();
     }
 
     #[test]
     fn lowmem_command_rejects_mtx_too_many_parts_and_exact_rebuilds() {
+        let dir = TempDir::new("lowmem_command_rejects_mtx_too_many_parts_and_exact_rebuilds");
         let err = execute(&Cli {
             command: LowMemArgs::new(std::path::PathBuf::from("matrix.mtx"), 4).command(),
         })
         .unwrap_err();
         assert!(err.to_string().contains("not streamable"));
 
-        let input = sample_hgr();
+        let input = dir.sample_hgr();
         let err = execute(&Cli {
             command: LowMemArgs::new(input.clone(), 1000).command(),
         })
@@ -985,13 +1055,13 @@ mod tests {
             .command(),
         })
         .unwrap_err();
-        fs::remove_file(input).ok();
         assert!(err.to_string().contains("rebuild-sketches"));
     }
 
     #[test]
     fn invalid_job_configs_surface_as_errors_not_panics() {
-        let input = sample_hgr();
+        let dir = TempDir::new("invalid_job_configs_surface_as_errors_not_panics");
+        let input = dir.sample_hgr();
         // Zero lowmem passes reach the job API and come back as
         // InvalidConfig, not a panic or an infinite loop.
         let err = execute(&Cli {
@@ -1003,15 +1073,15 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.to_string().contains("streaming pass"));
-        fs::remove_file(input).ok();
     }
 
     #[test]
     fn zero_threads_auto_detects_instead_of_erroring() {
+        let dir = TempDir::new("zero_threads_auto_detects_instead_of_erroring");
         // `--threads 0` used to be an InvalidConfig; it now resolves to
         // the machine's available parallelism inside the job API.
-        let input = sample_hgr();
-        let output = temp_path("lowmem_auto_threads.txt");
+        let input = dir.sample_hgr();
+        let output = dir.path("lowmem_auto_threads.txt");
         execute(&Cli {
             command: LowMemArgs {
                 threads: 0,
@@ -1024,14 +1094,13 @@ mod tests {
         let hg = load_hypergraph(&input).unwrap();
         let part = read_assignment(&output, hg.num_vertices()).unwrap();
         assert!(part.num_parts() <= 2);
-        fs::remove_file(input).ok();
-        fs::remove_file(output).ok();
     }
 
     #[test]
     fn partition_command_runs_the_work_stealing_mode_end_to_end() {
-        let input = sample_hgr();
-        let json_out = temp_path("steal_report.json");
+        let dir = TempDir::new("partition_command_runs_the_work_stealing_mode_end_to_end");
+        let input = dir.sample_hgr();
+        let json_out = dir.path("steal_report.json");
         execute(&Cli {
             command: PartitionArgs {
                 algorithm: Algorithm::ParallelBasic,
@@ -1047,20 +1116,19 @@ mod tests {
         assert!(json.contains("\"parallel_mode\": \"steal\""));
         assert!(json.contains("\"threads\": 4"));
         assert!(json.contains("\"sync_interval\": null"));
-        fs::remove_file(input).ok();
-        fs::remove_file(json_out).ok();
     }
 
     #[test]
     fn stats_and_profile_commands_run() {
-        let input = sample_hgr();
+        let dir = TempDir::new("stats_and_profile_commands_run");
+        let input = dir.sample_hgr();
         execute(&Cli {
             command: Command::Stats {
                 input: input.clone(),
             },
         })
         .unwrap();
-        let out = temp_path("bw.csv");
+        let out = dir.path("bw.csv");
         execute(&Cli {
             command: Command::Profile {
                 machine: MachinePreset::Archer,
@@ -1070,15 +1138,14 @@ mod tests {
         })
         .unwrap();
         assert!(fs::read_to_string(&out).unwrap().lines().count() == 12);
-        fs::remove_file(input).ok();
-        fs::remove_file(out).ok();
     }
 
     #[test]
     fn benchmark_command_uses_an_existing_assignment() {
-        let input = sample_hgr();
+        let dir = TempDir::new("benchmark_command_uses_an_existing_assignment");
+        let input = dir.sample_hgr();
         let hg = load_hypergraph(&input).unwrap();
-        let assignment = temp_path("bench_assignment.txt");
+        let assignment = dir.path("bench_assignment.txt");
         write_assignment(&assignment, &Partition::round_robin(hg.num_vertices(), 4)).unwrap();
         execute(&Cli {
             command: Command::Benchmark {
@@ -1090,30 +1157,24 @@ mod tests {
             },
         })
         .unwrap();
-        fs::remove_file(input).ok();
-        fs::remove_file(assignment).ok();
     }
 
     #[test]
     fn invalid_inputs_produce_errors_not_panics() {
+        let dir = TempDir::new("invalid_inputs_produce_errors_not_panics");
         let missing = execute(&Cli {
             command: Command::Stats {
-                input: temp_path("does_not_exist.hgr"),
+                input: dir.path("does_not_exist.hgr"),
             },
         });
         assert!(missing.is_err());
-        let too_many_parts = {
-            let input = sample_hgr();
-            let r = execute(&Cli {
-                command: PartitionArgs {
-                    algorithm: Algorithm::RoundRobin,
-                    ..PartitionArgs::new(input.clone(), 1000)
-                }
-                .command(),
-            });
-            fs::remove_file(input).ok();
-            r
-        };
+        let too_many_parts = execute(&Cli {
+            command: PartitionArgs {
+                algorithm: Algorithm::RoundRobin,
+                ..PartitionArgs::new(dir.sample_hgr(), 1000)
+            }
+            .command(),
+        });
         assert!(too_many_parts.is_err());
         let bad_profile = execute(&Cli {
             command: Command::Profile {

@@ -2,39 +2,36 @@
 //!
 //! The paper notes (§8.2) that sequential restreaming limits scalability and
 //! points to Battaglino et al.'s GraSP as evidence that *parallel* streaming
-//! with periodic synchronisation loses little quality. This driver is a
-//! thin instantiation of the generic [`crate::engine`]: the in-memory
-//! vertex source and CSR connectivity provider of [`crate::HyperPraw`],
-//! executed under the engine's bulk-synchronous
-//! [`crate::engine::ExecutionStrategy::Chunked`] strategy —
+//! with periodic synchronisation loses little quality. Parallelism changes
+//! only how each stream is executed, so it is not a second driver: a
+//! [`ParallelConfig`] handed to [`crate::HyperPraw::with_parallel`] selects
+//! one of the engine's multi-worker strategies, and the restreaming loop
+//! (α tempering, tolerance check, refinement on the partitioning
+//! communication cost) stays the engine's, identical to the sequential run.
 //!
-//! * the vertex stream is processed in synchronisation windows,
-//! * within a window, worker threads re-assign the vertices of their
-//!   chunks against a frozen snapshot of the global assignment, tracking
-//!   their own load deltas (so each sees its *local* moves immediately but
-//!   other workers' moves only at the next synchronisation),
-//! * at the window boundary all proposals are applied and the global
-//!   workloads updated — GraSP's "periodically synchronising workload and
-//!   partition assignments" step,
-//! * the restreaming loop (α tempering, tolerance check, refinement on the
-//!   partitioning communication cost) is the engine's, identical to the
-//!   sequential driver.
+//! * [`ParallelMode::Bsp`] — bulk-synchronous windows
+//!   ([`ExecutionStrategy::Chunked`]): within a window, worker threads
+//!   re-assign the vertices of their chunks against a frozen snapshot of
+//!   the global assignment, tracking their own load deltas (so each sees
+//!   its *local* moves immediately but other workers' moves only at the
+//!   next synchronisation); at the window boundary all proposals are
+//!   applied and the global workloads updated — GraSP's "periodically
+//!   synchronising workload and partition assignments" step.
+//!   Deterministic at any thread count.
+//! * [`ParallelMode::WorkStealing`] — lock-free chunk claiming against live
+//!   atomic state ([`ExecutionStrategy::WorkStealing`]): no barriers,
+//!   bounded staleness, not bit-reproducible above one worker.
 //!
 //! The trade-off is the classic one: wall-clock time per stream drops with
 //! the number of workers while the partition quality degrades slightly
 //! because decisions are made against stale information. The
-//! `parallel_vs_sequential` bench quantifies this. With a single worker no
-//! information is stale and the engine degenerates to the sequential
-//! strategy, so `num_threads = 1` reproduces [`crate::HyperPraw`] exactly.
+//! `partitioners` bench quantifies this. With a single worker no
+//! information is stale and either mode degenerates to the sequential
+//! strategy, so `num_threads = 1` reproduces the sequential run exactly.
 
-use hyperpraw_hypergraph::Hypergraph;
-use hyperpraw_topology::CostMatrix;
+use crate::engine::{ExecutionStrategy, DEFAULT_STEAL_CHUNK};
 
-use crate::engine::{Engine, EngineConfig, ExecutionStrategy, DEFAULT_STEAL_CHUNK};
-use crate::restream::run_in_memory;
-use crate::{HyperPrawConfig, PartitionResult};
-
-/// How the parallel drivers schedule their worker threads.
+/// How a parallel run schedules its worker threads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ParallelMode {
     /// Bulk-synchronous windows against frozen snapshots
@@ -84,11 +81,11 @@ impl ParallelMode {
     }
 }
 
-/// Configuration of the parallel driver.
+/// Configuration of a parallel run ([`crate::HyperPraw::with_parallel`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Number of worker threads (streams). 1 reproduces the sequential
-    /// driver exactly.
+    /// run exactly.
     pub num_threads: usize,
     /// How many vertices are processed between global synchronisations.
     /// Smaller intervals give fresher information (quality closer to the
@@ -143,73 +140,11 @@ impl ParallelConfig {
     }
 }
 
-/// The parallel (bulk-synchronous) restreaming partitioner.
-///
-/// As with [`crate::HyperPraw`], the number of partitions equals the size
-/// of the communication-cost matrix, and the aware/basic paper variants
-/// are selected purely by that matrix — this driver adds only the
-/// multi-worker streaming schedule on top.
-#[derive(Clone, Debug)]
-pub struct ParallelHyperPraw {
-    config: HyperPrawConfig,
-    parallel: ParallelConfig,
-    cost: CostMatrix,
-    registry: hyperpraw_telemetry::Registry,
-}
-
-impl ParallelHyperPraw {
-    /// Creates a parallel partitioner.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails validation or `num_threads == 0`.
-    pub fn new(config: HyperPrawConfig, parallel: ParallelConfig, cost: CostMatrix) -> Self {
-        config
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid HyperPRAW configuration: {e}"));
-        parallel
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid parallel configuration: {e}"));
-        Self {
-            config,
-            parallel,
-            cost,
-            registry: hyperpraw_telemetry::Registry::disabled(),
-        }
-    }
-
-    /// Number of partitions (compute units).
-    pub fn num_partitions(&self) -> u32 {
-        self.cost.num_units() as u32
-    }
-
-    /// Binds the engine's instrumentation (metrics under the `engine.`
-    /// prefix) to `registry`. Recording is observation-only — partitions
-    /// are bit-identical with or without a live registry.
-    pub fn with_registry(mut self, registry: &hyperpraw_telemetry::Registry) -> Self {
-        self.registry = registry.clone();
-        self
-    }
-
-    /// Runs the parallel restreaming algorithm.
-    pub fn partition(&self, hg: &Hypergraph) -> PartitionResult {
-        let engine = Engine::new(
-            EngineConfig::restreaming(&self.config).with_strategy(
-                self.parallel
-                    .mode
-                    .strategy(self.parallel.num_threads, self.parallel.sync_interval),
-            ),
-        )
-        .with_registry(&self.registry);
-        run_in_memory(&engine, hg, &self.config, &self.cost, &self.registry)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::partitioning_communication_cost;
-    use crate::HyperPraw;
+    use crate::{CostMatrix, HyperPraw, HyperPrawConfig};
     use hyperpraw_hypergraph::generators::{mesh_hypergraph, MeshConfig};
     use hyperpraw_hypergraph::{metrics, Partition};
     use hyperpraw_topology::{BandwidthMatrix, MachineModel};
@@ -222,11 +157,8 @@ mod tests {
     #[test]
     fn parallel_partition_is_valid_and_balanced() {
         let hg = mesh_hypergraph(&MeshConfig::new(900, 8));
-        let praw = ParallelHyperPraw::new(
-            HyperPrawConfig::default(),
-            ParallelConfig::with_threads(4),
-            CostMatrix::uniform(8),
-        );
+        let praw = HyperPraw::new(HyperPrawConfig::default(), CostMatrix::uniform(8))
+            .with_parallel(ParallelConfig::with_threads(4));
         let result = praw.partition(&hg);
         assert_eq!(result.partition.num_parts(), 8);
         assert_eq!(result.partition.num_vertices(), 900);
@@ -242,12 +174,9 @@ mod tests {
         let hg = mesh_hypergraph(&MeshConfig::new(1000, 8));
         let p = 8u32;
         let seq = HyperPraw::basic(HyperPrawConfig::default(), p).partition(&hg);
-        let par = ParallelHyperPraw::new(
-            HyperPrawConfig::default(),
-            ParallelConfig::with_threads(4),
-            CostMatrix::uniform(p as usize),
-        )
-        .partition(&hg);
+        let par = HyperPraw::new(HyperPrawConfig::default(), CostMatrix::uniform(p as usize))
+            .with_parallel(ParallelConfig::with_threads(4))
+            .partition(&hg);
         let seq_soed = metrics::soed(&hg, &seq.partition) as f64;
         let par_soed = metrics::soed(&hg, &par.partition) as f64;
         // GraSP-style result: parallel streaming should stay within ~2x of the
@@ -266,11 +195,8 @@ mod tests {
         // One worker has nothing to race: the engine decides with live
         // information, so the run is bit-identical to HyperPraw.
         let hg = mesh_hypergraph(&MeshConfig::new(400, 8));
-        let praw = ParallelHyperPraw::new(
-            HyperPrawConfig::default(),
-            ParallelConfig::with_threads(1),
-            CostMatrix::uniform(4),
-        );
+        let praw = HyperPraw::new(HyperPrawConfig::default(), CostMatrix::uniform(4))
+            .with_parallel(ParallelConfig::with_threads(1));
         let a = praw.partition(&hg);
         let b = praw.partition(&hg);
         assert_eq!(a.partition, b.partition);
@@ -286,15 +212,12 @@ mod tests {
         // one vertex: its assignment and load delta must land in the global
         // state before the pass-end metrics are computed.
         let hg = mesh_hypergraph(&MeshConfig::new(901, 8));
-        let praw = ParallelHyperPraw::new(
-            HyperPrawConfig::default(),
-            ParallelConfig {
+        let praw = HyperPraw::new(HyperPrawConfig::default(), CostMatrix::uniform(6))
+            .with_parallel(ParallelConfig {
                 num_threads: 4,
                 sync_interval: 300,
                 mode: ParallelMode::Bsp,
-            },
-            CostMatrix::uniform(6),
-        );
+            });
         let result = praw.partition(&hg);
         assert_eq!(result.partition.num_vertices(), 901);
         // The loads-based imbalance the stopping rule saw must agree with a
@@ -316,20 +239,18 @@ mod tests {
         // Start with a small α so the early streams are communication-driven
         // (the FENNEL default is so balance-heavy for p=24 on a small mesh
         // that the first couple of bulk-synchronous streams are identical for
-        // any cost matrix, and the parallel driver may converge before the
+        // any cost matrix, and a parallel run may converge before the
         // refinement phase has relaxed α enough to tell them apart).
         let config = HyperPrawConfig {
             initial_alpha: Some(2.0),
             ..HyperPrawConfig::default()
         };
-        let aware = ParallelHyperPraw::new(config, ParallelConfig::with_threads(2), cost.clone())
+        let aware = HyperPraw::new(config, cost.clone())
+            .with_parallel(ParallelConfig::with_threads(2))
             .partition(&hg);
-        let basic = ParallelHyperPraw::new(
-            config,
-            ParallelConfig::with_threads(2),
-            CostMatrix::uniform(p),
-        )
-        .partition(&hg);
+        let basic = HyperPraw::new(config, CostMatrix::uniform(p))
+            .with_parallel(ParallelConfig::with_threads(2))
+            .partition(&hg);
         let aware_pc = partitioning_communication_cost(&hg, &aware.partition, &cost);
         let basic_pc = partitioning_communication_cost(&hg, &basic.partition, &cost);
         assert!(
@@ -341,11 +262,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_threads_is_rejected() {
-        ParallelHyperPraw::new(
-            HyperPrawConfig::default(),
-            ParallelConfig::with_threads(0),
-            CostMatrix::uniform(4),
-        );
+        HyperPraw::new(HyperPrawConfig::default(), CostMatrix::uniform(4))
+            .with_parallel(ParallelConfig::with_threads(0));
     }
 
     #[test]
@@ -355,11 +273,8 @@ mod tests {
         // history against HyperPraw — the determinism anchor of the
         // three-strategy split.
         let hg = mesh_hypergraph(&MeshConfig::new(400, 8));
-        let praw = ParallelHyperPraw::new(
-            HyperPrawConfig::default(),
-            ParallelConfig::stealing(1),
-            CostMatrix::uniform(4),
-        );
+        let praw = HyperPraw::new(HyperPrawConfig::default(), CostMatrix::uniform(4))
+            .with_parallel(ParallelConfig::stealing(1));
         let a = praw.partition(&hg);
         let seq = HyperPraw::basic(HyperPrawConfig::default(), 4).partition(&hg);
         assert_eq!(a.partition, seq.partition);
@@ -371,11 +286,8 @@ mod tests {
     fn stealing_partition_is_valid_and_balanced_at_any_thread_count() {
         let hg = mesh_hypergraph(&MeshConfig::new(900, 8));
         for threads in [2usize, 4, 8] {
-            let praw = ParallelHyperPraw::new(
-                HyperPrawConfig::default(),
-                ParallelConfig::stealing(threads),
-                CostMatrix::uniform(8),
-            );
+            let praw = HyperPraw::new(HyperPrawConfig::default(), CostMatrix::uniform(8))
+                .with_parallel(ParallelConfig::stealing(threads));
             let result = praw.partition(&hg);
             assert_eq!(result.partition.num_parts(), 8);
             assert_eq!(result.partition.num_vertices(), 900);

@@ -1,18 +1,18 @@
-//! The HyperPRAW restreaming driver (Algorithm 1) — a thin instantiation
-//! of the generic [`crate::engine`]: in-memory vertex source × the
-//! connectivity provider selected by [`crate::Connectivity`] (precomputed
-//! dedup adjacency by default, CSR traversal on request) × sequential
-//! execution.
+//! The HyperPRAW restreaming driver (Algorithm 1) — the one in-memory
+//! instantiation of the generic [`crate::engine`]: in-memory vertex
+//! source × precomputed dedup adjacency ([`AdjProvider`] under
+//! [`AdjacencyBudget::Auto`]) × an execution strategy that is sequential
+//! by default, or one of the multi-worker schedules of
+//! [`crate::parallel`] when configured with [`HyperPraw::with_parallel`].
 
-use hyperpraw_hypergraph::{Hypergraph, NeighborAdjacency, Partition};
+use hyperpraw_hypergraph::{AdjacencyBudget, Hypergraph, NeighborAdjacency, Partition};
 use hyperpraw_topology::CostMatrix;
 
 use crate::engine::{
-    AdjProvider, CsrProvider, Engine, EngineConfig, EngineRun, ExactCommCost, ExecutionStrategy,
-    InMemorySource,
+    AdjProvider, Engine, EngineConfig, EngineRun, ExactCommCost, ExecutionStrategy, InMemorySource,
 };
 use crate::history::PartitionHistory;
-use crate::HyperPrawConfig;
+use crate::{HyperPrawConfig, ParallelConfig};
 
 pub use crate::engine::StopReason;
 
@@ -41,11 +41,13 @@ pub struct PartitionResult {
 /// matrix: one partition per compute unit of the target machine.
 /// HyperPRAW-aware is obtained by passing a profiled cost matrix
 /// ([`CostMatrix::from_bandwidth`]); HyperPRAW-basic by passing
-/// [`CostMatrix::uniform`].
+/// [`CostMatrix::uniform`]. Each stream runs sequentially unless
+/// [`HyperPraw::with_parallel`] selects a multi-worker schedule.
 #[derive(Clone, Debug)]
 pub struct HyperPraw {
     config: HyperPrawConfig,
     cost: CostMatrix,
+    strategy: ExecutionStrategy,
     registry: hyperpraw_telemetry::Registry,
 }
 
@@ -62,8 +64,28 @@ impl HyperPraw {
         Self {
             config,
             cost,
+            strategy: ExecutionStrategy::Sequential,
             registry: hyperpraw_telemetry::Registry::disabled(),
         }
+    }
+
+    /// Runs every stream under the multi-worker schedule `parallel` (the
+    /// paper's §8.2 extension, see [`crate::parallel`]) instead of
+    /// sequentially. One worker reproduces the sequential run bit for bit
+    /// in either [`crate::ParallelMode`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parallel` fails validation (`num_threads == 0` or
+    /// `sync_interval == 0`).
+    pub fn with_parallel(mut self, parallel: ParallelConfig) -> Self {
+        parallel
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid parallel configuration: {e}"));
+        self.strategy = parallel
+            .mode
+            .strategy(parallel.num_threads, parallel.sync_interval);
+        self
     }
 
     /// Binds the engine's instrumentation (metrics under the `engine.`
@@ -103,54 +125,30 @@ impl HyperPraw {
     /// Runs the restreaming algorithm on a hypergraph.
     pub fn partition(&self, hg: &Hypergraph) -> PartitionResult {
         let engine =
-            Engine::new(EngineConfig::restreaming(&self.config)).with_registry(&self.registry);
-        run_in_memory(&engine, hg, &self.config, &self.cost, &self.registry)
-    }
-}
-
-/// Shared in-memory instantiation of the engine: the [`InMemorySource`]
-/// stream, the exact cost model, and the connectivity provider selected by
-/// [`HyperPrawConfig::connectivity`] — the precomputed dedup adjacency
-/// ([`AdjProvider`], budgeted per the selection) by default, or the epoch
-/// CSR traversal ([`CsrProvider`]). Both providers produce bit-identical
-/// partitions; used by [`HyperPraw`] and [`crate::ParallelHyperPraw`].
-pub(crate) fn run_in_memory(
-    engine: &Engine,
-    hg: &Hypergraph,
-    config: &HyperPrawConfig,
-    cost: &CostMatrix,
-    registry: &hyperpraw_telemetry::Registry,
-) -> PartitionResult {
-    let mut source = InMemorySource::new(hg, config.stream_order, config.seed);
-    let run = match config.connectivity.adjacency_budget() {
-        None => engine.run(
-            cost,
-            &mut source,
-            &mut CsrProvider::new(hg),
-            &mut ExactCommCost::new(hg),
-        ),
-        Some(budget) => {
-            // One precomputation serves both hot consumers: the per-visit
-            // X_j(v) queries and the per-pass comm-cost evaluation. The
-            // build honours the driver's threading contract — the
-            // sequential driver stays single-threaded end to end, the
-            // bulk-synchronous driver never exceeds its worker count.
-            let max_threads = match engine.config().strategy {
-                ExecutionStrategy::Sequential => 1,
-                ExecutionStrategy::Chunked { num_threads, .. }
-                | ExecutionStrategy::WorkStealing { num_threads, .. } => num_threads,
-            };
-            let adj = NeighborAdjacency::build_with_threads(hg, budget, max_threads);
-            engine.run(
-                cost,
+            Engine::new(EngineConfig::restreaming(&self.config).with_strategy(self.strategy))
+                .with_registry(&self.registry);
+        let mut source = InMemorySource::new(hg, self.config.stream_order, self.config.seed);
+        // One precomputation serves both hot consumers: the per-visit
+        // X_j(v) queries and the per-pass comm-cost evaluation. The build
+        // honours the strategy's threading contract — a sequential run
+        // stays single-threaded end to end, a parallel one never exceeds
+        // its worker count.
+        let max_threads = match self.strategy {
+            ExecutionStrategy::Sequential => 1,
+            ExecutionStrategy::Chunked { num_threads, .. }
+            | ExecutionStrategy::WorkStealing { num_threads, .. } => num_threads,
+        };
+        let adj = NeighborAdjacency::build_with_threads(hg, AdjacencyBudget::Auto, max_threads);
+        let run = engine
+            .run(
+                &self.cost,
                 &mut source,
-                &mut AdjProvider::from_adjacency(hg, &adj).with_registry(registry),
+                &mut AdjProvider::from_adjacency(hg, &adj).with_registry(&self.registry),
                 &mut ExactCommCost::with_adjacency(hg, &adj),
             )
-        }
+            .expect("in-memory sources cannot fail");
+        PartitionResult::from_engine(run)
     }
-    .expect("in-memory sources cannot fail");
-    PartitionResult::from_engine(run)
 }
 
 impl PartitionResult {

@@ -1,12 +1,14 @@
 //! The vertex assignment value function (equations 1–4 of the paper).
 //!
 //! This module is public because the value function is the part of
-//! HyperPRAW that other partitioners reuse: the sequential restreaming
-//! driver, the bulk-synchronous [`crate::parallel`] driver and the
-//! out-of-core `hyperpraw-lowmem` streaming partitioner all score candidate
-//! placements with [`best_partition`] / [`best_partition_with_margin`] and
-//! only differ in *how they obtain* the neighbour-partition counts
-//! (in-memory CSR traversal vs. sketched net connectivity).
+//! HyperPRAW that other partitioners reuse: every engine instantiation —
+//! the in-memory [`crate::HyperPraw`] driver under any execution strategy
+//! and the out-of-core `hyperpraw-lowmem` streaming partitioner — scores
+//! candidate placements with [`best_partition_in`] and only differs in
+//! *how it obtains* the neighbour-partition counts (precomputed in-memory
+//! adjacency vs. exact or sketched net connectivity). [`value_of`] is the
+//! per-candidate specification of equation 1; the tests pin the hot
+//! scorer against a scorer built from it, bit for bit.
 
 use hyperpraw_topology::CostMatrix;
 
@@ -69,58 +71,6 @@ pub struct ScoredPartition {
     pub margin: f64,
 }
 
-/// Finds the partition with the highest assignment value for a vertex.
-///
-/// Ties are broken towards the lighter partition, and then towards the lower
-/// partition id, so the stream is fully deterministic.
-pub fn best_partition(
-    counts: &[u32],
-    cost: &CostMatrix,
-    alpha: f64,
-    loads: &[f64],
-    expected: &[f64],
-) -> u32 {
-    best_partition_with_margin(counts, cost, alpha, loads, expected).part
-}
-
-/// Like [`best_partition`], additionally reporting the winner's value and
-/// its margin over the runner-up. The winning partition is identical to
-/// [`best_partition`]'s — the extra bookkeeping never changes tie-breaking.
-pub fn best_partition_with_margin(
-    counts: &[u32],
-    cost: &CostMatrix,
-    alpha: f64,
-    loads: &[f64],
-    expected: &[f64],
-) -> ScoredPartition {
-    debug_assert_eq!(counts.len(), loads.len());
-    debug_assert_eq!(counts.len(), cost.num_units());
-    let mut best = 0u32;
-    let mut best_value = f64::NEG_INFINITY;
-    let mut runner_up = f64::NEG_INFINITY;
-    for i in 0..counts.len() {
-        let v = value_of(counts, i as u32, cost, alpha, loads[i], expected[i]);
-        let better = v > best_value + 1e-12
-            || ((v - best_value).abs() <= 1e-12 && loads[i] < loads[best as usize] - 1e-12);
-        if better {
-            runner_up = best_value;
-            best = i as u32;
-            best_value = v;
-        } else if v > runner_up {
-            runner_up = v;
-        }
-    }
-    ScoredPartition {
-        part: best,
-        value: best_value,
-        margin: if runner_up == f64::NEG_INFINITY {
-            f64::INFINITY
-        } else {
-            best_value - runner_up
-        },
-    }
-}
-
 /// Reusable buffers for [`best_partition_in`], the allocation-free scorer
 /// the restreaming engine keeps per worker. One instance per thread; the
 /// contents are meaningless between calls.
@@ -136,8 +86,12 @@ impl ValueScratch {
     }
 }
 
-/// Scores every candidate partition like [`best_partition_with_margin`]
-/// but restructured for the hot loop, reusing `scratch` across calls.
+/// Finds the partition with the highest assignment value for a vertex,
+/// reporting the winner's value and its margin over the runner-up, reusing
+/// `scratch` across calls.
+///
+/// Ties are broken towards the lighter partition, and then towards the
+/// lower partition id, so the stream is fully deterministic.
 ///
 /// The naive scorer evaluates [`value_of`] per candidate — `O(p²)` matrix
 /// reads per vertex even when the vertex's neighbours touch only a handful
@@ -150,9 +104,9 @@ impl ValueScratch {
 ///
 /// For every candidate `i` the contributions are added in the same
 /// ascending-`j` order [`value_of`] uses, so the result — winner, value,
-/// margin and tie-breaking — is **bit-identical** to
-/// [`best_partition_with_margin`]; the engine equivalence tests rely on
-/// this.
+/// margin and tie-breaking — is **bit-identical** to the naive
+/// per-candidate scorer (kept as the test oracle); the engine equivalence
+/// tests rely on this.
 pub fn best_partition_in(
     counts: &[u32],
     cost: &CostMatrix,
@@ -227,6 +181,60 @@ pub fn best_partition_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Specification scorer, the oracle for [`best_partition_in`]: finds
+    /// the partition with the highest assignment value for a vertex, one
+    /// [`value_of`] call per candidate.
+    ///
+    /// Ties are broken towards the lighter partition, and then towards the
+    /// lower partition id, so the stream is fully deterministic.
+    fn best_partition(
+        counts: &[u32],
+        cost: &CostMatrix,
+        alpha: f64,
+        loads: &[f64],
+        expected: &[f64],
+    ) -> u32 {
+        best_partition_with_margin(counts, cost, alpha, loads, expected).part
+    }
+
+    /// Like [`best_partition`], additionally reporting the winner's value and
+    /// its margin over the runner-up. The winning partition is identical to
+    /// [`best_partition`]'s — the extra bookkeeping never changes tie-breaking.
+    fn best_partition_with_margin(
+        counts: &[u32],
+        cost: &CostMatrix,
+        alpha: f64,
+        loads: &[f64],
+        expected: &[f64],
+    ) -> ScoredPartition {
+        debug_assert_eq!(counts.len(), loads.len());
+        debug_assert_eq!(counts.len(), cost.num_units());
+        let mut best = 0u32;
+        let mut best_value = f64::NEG_INFINITY;
+        let mut runner_up = f64::NEG_INFINITY;
+        for i in 0..counts.len() {
+            let v = value_of(counts, i as u32, cost, alpha, loads[i], expected[i]);
+            let better = v > best_value + 1e-12
+                || ((v - best_value).abs() <= 1e-12 && loads[i] < loads[best as usize] - 1e-12);
+            if better {
+                runner_up = best_value;
+                best = i as u32;
+                best_value = v;
+            } else if v > runner_up {
+                runner_up = v;
+            }
+        }
+        ScoredPartition {
+            part: best,
+            value: best_value,
+            margin: if runner_up == f64::NEG_INFINITY {
+                f64::INFINITY
+            } else {
+                best_value - runner_up
+            },
+        }
+    }
 
     #[test]
     fn vertex_prefers_the_partition_with_its_neighbours() {

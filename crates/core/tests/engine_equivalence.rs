@@ -8,22 +8,29 @@
 //! history bookkeeping. The engine-backed [`HyperPraw`] must match its
 //! assignment and per-iteration history exactly (f64 bit equality), which
 //! pins down both the refactored control flow and the restructured fast
-//! scorer ([`hyperpraw_core::value::best_partition_in`]).
+//! scorer ([`hyperpraw_core::value::best_partition_in`]). The same
+//! reference also pins every in-memory connectivity provider, including
+//! the test-only epoch-traversal oracle in `support`.
 
+use hyperpraw_core::engine::{
+    AdjProvider, Engine, EngineConfig, EngineRun, ExactCommCost, InMemorySource,
+};
 use hyperpraw_core::history::{IterationRecord, PartitionHistory, StreamPhase};
 use hyperpraw_core::metrics::partitioning_communication_cost;
 use hyperpraw_core::value::value_of;
 use hyperpraw_core::{
-    Connectivity, CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig, ParallelHyperPraw,
-    RefinementPolicy, StopReason, StreamOrder,
+    CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig, RefinementPolicy, StopReason,
+    StreamOrder,
 };
 use hyperpraw_hypergraph::generators::{
     mesh_hypergraph, powerlaw_hypergraph, random_hypergraph, MeshConfig, PowerLawConfig,
     RandomConfig,
 };
 use hyperpraw_hypergraph::traversal::NeighborScratch;
-use hyperpraw_hypergraph::{Hypergraph, Partition, VertexId};
+use hyperpraw_hypergraph::{AdjacencyBudget, Hypergraph, Partition, VertexId};
 use hyperpraw_topology::{BandwidthMatrix, MachineModel};
+
+mod support;
 
 /// The seed driver's scorer: evaluate `value_of` per candidate with the
 /// original comparison and tie-breaking.
@@ -153,9 +160,41 @@ fn reference_restream(
     }
 }
 
+/// The pieces of a run the reference pins: assignment, stop, history.
+struct Outcome<'a> {
+    partition: &'a Partition,
+    history: &'a PartitionHistory,
+    iterations: usize,
+    stop_reason: StopReason,
+}
+
+impl<'a> From<&'a EngineRun> for Outcome<'a> {
+    fn from(run: &'a EngineRun) -> Self {
+        Outcome {
+            partition: &run.partition,
+            history: &run.history,
+            iterations: run.iterations,
+            stop_reason: run.stop_reason,
+        }
+    }
+}
+
 fn assert_bit_identical(hg: &Hypergraph, config: HyperPrawConfig, cost: CostMatrix, label: &str) {
     let reference = reference_restream(hg, &config, &cost);
     let engine = HyperPraw::new(config, cost).partition(hg);
+    assert_matches_reference(
+        &reference,
+        Outcome {
+            partition: &engine.partition,
+            history: &engine.history,
+            iterations: engine.iterations,
+            stop_reason: engine.stop_reason,
+        },
+        label,
+    );
+}
+
+fn assert_matches_reference(reference: &ReferenceResult, engine: Outcome<'_>, label: &str) {
     assert_eq!(
         engine.partition.assignment(),
         reference.partition.assignment(),
@@ -271,21 +310,31 @@ fn sequential_engine_matches_across_configurations() {
 
 #[test]
 fn every_connectivity_provider_is_bit_identical_to_the_reference() {
-    // The provider axis must be quality-neutral: the precomputed dedup
-    // adjacency (unbounded or auto-budgeted) and the epoch CSR traversal
-    // all reproduce the frozen seed loop bit for bit, f64 history included.
+    // The provider axis must be quality-neutral: the driver's auto-budgeted
+    // dedup adjacency, an unbounded adjacency and the epoch CSR traversal
+    // oracle all reproduce the frozen seed loop bit for bit, f64 history
+    // included.
     let machine = MachineModel::archer_like(16);
     let cost = CostMatrix::from_bandwidth(&BandwidthMatrix::from_machine(&machine, 0.05, 1));
+    let config = HyperPrawConfig::default();
     for (name, hg) in suite() {
-        for connectivity in [
-            Connectivity::Csr,
-            Connectivity::Adjacency,
-            Connectivity::Auto,
-        ] {
-            let config = HyperPrawConfig::default().with_connectivity(connectivity);
-            let label = format!("{name}/{}", connectivity.name());
-            assert_bit_identical(&hg, config, cost.clone(), &label);
-        }
+        let reference = reference_restream(&hg, &config, &cost);
+        let csr = support::csr_restream(&hg, &config, &cost);
+        assert_matches_reference(&reference, (&csr).into(), &format!("{name}/csr"));
+        let unbounded = Engine::new(EngineConfig::restreaming(&config))
+            .run(
+                &cost,
+                &mut InMemorySource::new(&hg, config.stream_order, config.seed),
+                &mut AdjProvider::new(&hg, AdjacencyBudget::Unbounded),
+                &mut ExactCommCost::new(&hg),
+            )
+            .unwrap();
+        assert_matches_reference(
+            &reference,
+            (&unbounded).into(),
+            &format!("{name}/adjacency"),
+        );
+        assert_bit_identical(&hg, config, cost.clone(), &format!("{name}/auto"));
     }
 }
 
@@ -295,12 +344,9 @@ fn bsp_with_one_worker_matches_the_sequential_engine_exactly() {
     let cost = CostMatrix::from_bandwidth(&BandwidthMatrix::from_machine(&machine, 0.05, 2));
     for (name, hg) in suite() {
         let seq = HyperPraw::aware(HyperPrawConfig::default(), cost.clone()).partition(&hg);
-        let bsp = ParallelHyperPraw::new(
-            HyperPrawConfig::default(),
-            ParallelConfig::with_threads(1),
-            cost.clone(),
-        )
-        .partition(&hg);
+        let bsp = HyperPraw::new(HyperPrawConfig::default(), cost.clone())
+            .with_parallel(ParallelConfig::with_threads(1))
+            .partition(&hg);
         assert_eq!(
             bsp.partition.assignment(),
             seq.partition.assignment(),

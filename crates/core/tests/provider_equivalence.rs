@@ -1,17 +1,21 @@
 //! Property tests pinning the connectivity-provider axis: the precomputed
 //! dedup-adjacency provider ([`AdjProvider`]) must return count vectors
-//! identical to the epoch-traversal [`CsrProvider`] on random hypergraphs,
-//! random partitions and random adjacency budgets — including budgets tight
-//! enough to push vertices onto the hybrid hub-fallback path — and the
-//! drivers built on them must produce identical partitions.
+//! identical to the test-only epoch-traversal [`CsrProvider`] oracle on
+//! random hypergraphs, random partitions and random adjacency budgets —
+//! including budgets tight enough to push vertices onto the hybrid
+//! hub-fallback path — and the driver built on it must produce the
+//! partitions the oracle-backed engine produces.
 
 use proptest::prelude::*;
 
-use hyperpraw_core::engine::{AdjProvider, ConnectivityProvider, CsrProvider};
-use hyperpraw_core::{Connectivity, HyperPraw, HyperPrawConfig};
+use hyperpraw_core::engine::{AdjProvider, ConnectivityProvider};
+use hyperpraw_core::{CostMatrix, HyperPraw, HyperPrawConfig};
 use hyperpraw_hypergraph::generators::{random_hypergraph, CardinalityDist, RandomConfig};
 use hyperpraw_hypergraph::io::stream::VertexRecord;
 use hyperpraw_hypergraph::{AdjacencyBudget, Hypergraph, Partition};
+
+mod support;
+use support::CsrProvider;
 
 fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
     (20usize..120, 10usize..80, 0u64..400).prop_map(|(n, e, seed)| {
@@ -102,23 +106,20 @@ proptest! {
         p in 2u32..6,
         seed in 0u64..20,
     ) {
-        let base = HyperPrawConfig {
+        let config = HyperPrawConfig {
             max_iterations: 25,
             ..HyperPrawConfig::default().with_seed(seed)
         };
-        let reference = HyperPraw::basic(base.with_connectivity(Connectivity::Csr), p)
-            .partition(&hg);
-        for connectivity in [Connectivity::Adjacency, Connectivity::Auto] {
-            let other = HyperPraw::basic(base.with_connectivity(connectivity), p)
-                .partition(&hg);
-            prop_assert_eq!(
-                other.partition.assignment(),
-                reference.partition.assignment(),
-                "provider {} diverged", connectivity.name()
-            );
-            prop_assert_eq!(other.iterations, reference.iterations);
-            prop_assert_eq!(other.comm_cost.to_bits(), reference.comm_cost.to_bits());
-            prop_assert_eq!(other.imbalance.to_bits(), reference.imbalance.to_bits());
-        }
+        let cost = CostMatrix::uniform(p as usize);
+        let reference = support::csr_restream(&hg, &config, &cost);
+        let driver = HyperPraw::basic(config, p).partition(&hg);
+        prop_assert_eq!(
+            driver.partition.assignment(),
+            reference.partition.assignment(),
+            "the adjacency-backed driver diverged from the CSR oracle"
+        );
+        prop_assert_eq!(driver.iterations, reference.iterations);
+        prop_assert_eq!(driver.comm_cost.to_bits(), reference.comm_cost.to_bits());
+        prop_assert_eq!(driver.imbalance.to_bits(), reference.imbalance.to_bits());
     }
 }

@@ -3,11 +3,11 @@
 //! every move to the dirty set.
 
 use hyperpraw_core::engine::{
-    CsrProvider, DirtySetSource, Engine, EngineConfig, ExactCommCost, InMemorySource, WarmStart,
+    AdjProvider, DirtySetSource, Engine, EngineConfig, ExactCommCost, InMemorySource, WarmStart,
 };
 use hyperpraw_core::{CostMatrix, HyperPraw, HyperPrawConfig, StreamOrder};
 use hyperpraw_hypergraph::generators::{mesh_hypergraph, MeshConfig};
-use hyperpraw_hypergraph::{Hypergraph, Partition};
+use hyperpraw_hypergraph::{AdjacencyBudget, Hypergraph, Partition};
 
 fn cold_run(hg: &Hypergraph, p: usize) -> Partition {
     HyperPraw::new(HyperPrawConfig::default(), CostMatrix::uniform(p))
@@ -31,7 +31,7 @@ fn warm_run_over_the_full_graph_keeps_the_partition_feasible() {
 
     let engine = Engine::new(EngineConfig::restreaming(&config));
     let mut source = InMemorySource::new(&hg, StreamOrder::Natural, 0);
-    let mut provider = CsrProvider::new(&hg);
+    let mut provider = AdjProvider::new(&hg, AdjacencyBudget::Auto);
     let mut model = ExactCommCost::new(&hg);
     let run = engine
         .run_warm(
@@ -65,7 +65,7 @@ fn dirty_set_restream_never_moves_a_clean_vertex() {
     let dirty: Vec<u32> = vec![3, 17, 42, 43, 44, 200];
     let engine = Engine::new(EngineConfig::restreaming(&HyperPrawConfig::default()));
     let mut source = DirtySetSource::new(&hg, dirty.clone());
-    let mut provider = CsrProvider::new(&hg);
+    let mut provider = AdjProvider::new(&hg, AdjacencyBudget::Auto);
     let mut model = ExactCommCost::new(&hg);
     let run = engine
         .run_warm(
@@ -96,7 +96,7 @@ fn empty_dirty_set_returns_the_warm_partition_unchanged() {
 
     let engine = Engine::new(EngineConfig::restreaming(&HyperPrawConfig::default()));
     let mut source = DirtySetSource::new(&hg, Vec::new());
-    let mut provider = CsrProvider::new(&hg);
+    let mut provider = AdjProvider::new(&hg, AdjacencyBudget::Auto);
     let mut model = ExactCommCost::new(&hg);
     let run = engine
         .run_warm(

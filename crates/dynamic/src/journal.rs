@@ -69,7 +69,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use hyperpraw_core::{Connectivity, HyperPrawConfig, RefinementPolicy, StreamOrder};
+use hyperpraw_core::{HyperPrawConfig, RefinementPolicy, StreamOrder};
 use hyperpraw_hypergraph::{
     AdjacencyBudget, HypergraphBuilder, MutableHypergraph, Partition, VertexId,
 };
@@ -417,12 +417,16 @@ fn encode_state(out: &mut Vec<u8>, p: &DynamicPartitioner) {
     });
     put_u64_le(out, hp.seed);
     out.push(u8::from(hp.track_history));
-    out.push(match hp.connectivity {
-        Connectivity::Csr => 0,
-        Connectivity::Adjacency => 1,
-        Connectivity::Auto => 2,
-    });
+    // Retired connectivity-provider byte: snapshots once recorded which of
+    // three bit-identical providers the session used (0 csr, 1 adjacency,
+    // 2 auto). Only the auto-budgeted adjacency is left, so the byte is
+    // still written (as its old tag) to keep the format, and existing
+    // state dirs, readable in both directions.
+    out.push(RETIRED_CONNECTIVITY_TAG);
 }
+
+/// The tag [`encode_state`] writes into the retired connectivity byte.
+const RETIRED_CONNECTIVITY_TAG: u8 = 2;
 
 fn decode_state(dec: &mut Dec<'_>) -> Result<DynamicPartitioner, JournalError> {
     let name_len = dec.varint_usize()?;
@@ -544,12 +548,13 @@ fn decode_state(dec: &mut Dec<'_>) -> Result<DynamicPartitioner, JournalError> {
     };
     let seed = dec.u64_le()?;
     let track_history = dec.u8()? != 0;
-    let connectivity = match dec.u8()? {
-        0 => Connectivity::Csr,
-        1 => Connectivity::Adjacency,
-        2 => Connectivity::Auto,
-        other => return Err(corrupt(format!("unknown connectivity tag {other}"))),
-    };
+    // The retired connectivity byte (see `encode_state`): every provider
+    // it could name gave bit-identical partitions, so any old tag recovers
+    // the same session; anything else is damage.
+    let connectivity = dec.u8()?;
+    if connectivity > RETIRED_CONNECTIVITY_TAG {
+        return Err(corrupt(format!("unknown connectivity tag {connectivity}")));
+    }
 
     let cfg = DynamicConfig {
         config: HyperPrawConfig {
@@ -561,7 +566,6 @@ fn decode_state(dec: &mut Dec<'_>) -> Result<DynamicPartitioner, JournalError> {
             stream_order,
             seed,
             track_history,
-            connectivity,
         },
         staleness_threshold,
         budget,
@@ -1070,6 +1074,42 @@ mod tests {
         let out_b = resumed.apply(&batch(2)).unwrap();
         assert_eq!(out_a.new_vertices, out_b.new_vertices);
         assert_same(&live, &resumed);
+    }
+
+    /// Rewrites the retired connectivity byte (the last payload byte) of
+    /// an encoded snapshot and re-seals the checksum.
+    fn with_connectivity_tag(mut bytes: Vec<u8>, tag: u8) -> Vec<u8> {
+        let last = bytes.len() - 1;
+        assert_eq!(bytes[last], RETIRED_CONNECTIVITY_TAG);
+        bytes[last] = tag;
+        let crc = crc32(&bytes[24..]);
+        bytes[20..24].copy_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn snapshots_from_every_retired_connectivity_tag_recover() {
+        let mut live = partitioner();
+        live.apply(&batch(0)).unwrap();
+        let bytes = encode_snapshot(3, b"", &live);
+        for tag in [0u8, 1] {
+            let old = with_connectivity_tag(bytes.clone(), tag);
+            let mut resumed = read_snapshot(&MemorySource::new(old)).unwrap().partitioner;
+            assert_same(&live, &resumed);
+            let mut control = read_snapshot(&MemorySource::new(bytes.clone()))
+                .unwrap()
+                .partitioner;
+            let out_a = control.apply(&batch(1)).unwrap();
+            let out_b = resumed.apply(&batch(1)).unwrap();
+            assert_eq!(out_a.new_vertices, out_b.new_vertices, "tag {tag}");
+            assert_same(&control, &resumed);
+        }
+        let unknown = with_connectivity_tag(bytes, 3);
+        match read_snapshot(&MemorySource::new(unknown)) {
+            Err(JournalError::Corrupt(msg)) => assert!(msg.contains("connectivity tag 3"), "{msg}"),
+            Err(other) => panic!("expected corruption, got {other}"),
+            Ok(_) => panic!("tag 3 must be rejected"),
+        }
     }
 
     #[test]

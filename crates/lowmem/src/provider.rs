@@ -2,8 +2,8 @@
 //! the restreaming engine's
 //! [`hyperpraw_core::engine::ConnectivityProvider`] axis.
 //!
-//! Where `hyperpraw-core`'s `CsrProvider` counts distinct neighbour
-//! vertices by traversing the in-memory CSR, this provider answers the
+//! Where `hyperpraw-core`'s `AdjProvider` counts distinct neighbour
+//! vertices from an in-memory neighbour adjacency, this provider answers the
 //! same `X_j(v)` query from *net connectivity* in budgeted memory: the
 //! counts are "how many of the vertex's nets already touch partition `j`",
 //! served by an exact hash-map index or Bloom/MinHash sketches. Because

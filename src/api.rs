@@ -1,8 +1,8 @@
 //! The one front door: a unified, builder-first partitioning API.
 //!
-//! Every partitioning driver in the workspace — sequential and
-//! bulk-synchronous HyperPRAW, the memory-bounded streaming partitioners
-//! and the multilevel baseline — is dispatchable through a single
+//! Every partitioning driver in the workspace — HyperPRAW (sequential or
+//! multi-threaded), the memory-bounded streaming partitioners and the
+//! multilevel baseline — is dispatchable through a single
 //! [`PartitionJob`], selected by an [`Algorithm`] value. The job validates
 //! its inputs up front (returning [`PartitionError::InvalidConfig`]
 //! instead of panicking), runs against either an in-memory
@@ -10,7 +10,7 @@
 //! [`PartitionReport`]. The partitions themselves are **bit-identical**
 //! to calling the underlying drivers directly (pinned by
 //! `tests/api_equivalence.rs`): the job is a facade over the same thin
-//! drivers, not a fifth implementation.
+//! drivers, not another implementation.
 //!
 //! ```
 //! use hyperpraw::api::{Algorithm, PartitionJob};
@@ -32,8 +32,8 @@ use std::time::Instant;
 
 use hyperpraw_core::metrics::QualityReport;
 use hyperpraw_core::{
-    baselines, Connectivity, CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig,
-    ParallelHyperPraw, ParallelMode, PartitionHistory, RefinementPolicy, StreamOrder,
+    baselines, CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig, ParallelMode,
+    PartitionHistory, RefinementPolicy, StreamOrder,
 };
 use hyperpraw_dynamic::{DynamicConfig, DynamicError, DynamicPartitioner, GraphUpdate};
 use hyperpraw_hypergraph::io::stream::VertexStream;
@@ -59,9 +59,13 @@ pub enum Algorithm {
     HyperPrawBasic,
     /// Sequential HyperPRAW restreaming with a profiled cost matrix.
     HyperPrawAware,
-    /// Bulk-synchronous multi-threaded HyperPRAW, uniform cost matrix.
+    /// Multi-threaded HyperPRAW, uniform cost matrix: each stream runs on
+    /// worker threads under the [`ParallelMode`] set by
+    /// [`PartitionJob::parallel_mode`] (bulk-synchronous windows by
+    /// default, or work stealing).
     ParallelBasic,
-    /// Bulk-synchronous multi-threaded HyperPRAW, profiled cost matrix.
+    /// Multi-threaded HyperPRAW, profiled cost matrix; scheduled like
+    /// [`Algorithm::ParallelBasic`].
     ParallelAware,
     /// Memory-bounded streaming partitioner with the exact (unbounded
     /// memory) connectivity index. Runs in-memory or over a
@@ -143,9 +147,9 @@ impl Algorithm {
         matches!(self, Algorithm::LowMemExact | Algorithm::LowMemSketched)
     }
 
-    /// `true` for the algorithms that run worker threads (the
-    /// bulk-synchronous drivers); [`PartitionJob::threads`] has no effect
-    /// on the others.
+    /// `true` for the algorithms that run worker threads (the parallel
+    /// HyperPRAW and lowmem drivers); [`PartitionJob::threads`] has no
+    /// effect on the others.
     pub fn supports_threads(&self) -> bool {
         matches!(
             self,
@@ -273,12 +277,6 @@ impl PartitionJob {
         self
     }
 
-    /// Sets the in-memory connectivity provider (HyperPRAW drivers).
-    pub fn connectivity(mut self, connectivity: Connectivity) -> Self {
-        self.hyperpraw.connectivity = connectivity;
-        self
-    }
-
     /// Sets the refinement policy (HyperPRAW drivers).
     pub fn refinement(mut self, refinement: RefinementPolicy) -> Self {
         self.hyperpraw.refinement = refinement;
@@ -322,7 +320,8 @@ impl PartitionJob {
         self
     }
 
-    /// Sets the synchronisation window of the bulk-synchronous drivers.
+    /// Sets the synchronisation window of the bulk-synchronous
+    /// ([`ParallelMode::Bsp`]) parallel drivers.
     pub fn sync_interval(mut self, interval: usize) -> Self {
         self.parallel.sync_interval = interval;
         self.lowmem.sync_interval = interval;
@@ -454,12 +453,14 @@ impl PartitionJob {
         }
         let invalid = PartitionError::InvalidConfig;
         match self.algorithm {
-            Algorithm::HyperPrawBasic | Algorithm::HyperPrawAware => {
+            Algorithm::HyperPrawBasic
+            | Algorithm::HyperPrawAware
+            | Algorithm::ParallelBasic
+            | Algorithm::ParallelAware => {
                 self.hyperpraw.validate().map_err(invalid)?;
-            }
-            Algorithm::ParallelBasic | Algorithm::ParallelAware => {
-                self.hyperpraw.validate().map_err(invalid)?;
-                self.parallel.validate().map_err(invalid)?;
+                if self.parallel_streams() {
+                    self.parallel.validate().map_err(invalid)?;
+                }
             }
             Algorithm::LowMemExact | Algorithm::LowMemSketched => {
                 self.lowmem_with_index().validate().map_err(invalid)?;
@@ -486,24 +487,16 @@ impl PartitionJob {
         let (partition, history, stop_reason, iterations, final_alpha, lowmem) = match self
             .algorithm
         {
-            Algorithm::HyperPrawBasic | Algorithm::HyperPrawAware => {
-                let result = HyperPraw::new(self.hyperpraw, self.driver_cost(p))
-                    .with_registry(&self.registry)
-                    .partition(hg);
-                (
-                    result.partition,
-                    result.history,
-                    Some(result.stop_reason),
-                    result.iterations,
-                    Some(result.final_alpha),
-                    None,
-                )
-            }
-            Algorithm::ParallelBasic | Algorithm::ParallelAware => {
-                let result =
-                    ParallelHyperPraw::new(self.hyperpraw, self.parallel, self.driver_cost(p))
-                        .with_registry(&self.registry)
-                        .partition(hg);
+            Algorithm::HyperPrawBasic
+            | Algorithm::HyperPrawAware
+            | Algorithm::ParallelBasic
+            | Algorithm::ParallelAware => {
+                let mut driver = HyperPraw::new(self.hyperpraw, self.driver_cost(p))
+                    .with_registry(&self.registry);
+                if self.parallel_streams() {
+                    driver = driver.with_parallel(self.parallel);
+                }
+                let result = driver.partition(hg);
                 (
                     result.partition,
                     result.history,
@@ -755,6 +748,15 @@ impl PartitionJob {
         config
     }
 
+    /// `true` when the restreaming driver runs each stream on worker
+    /// threads (the `Parallel*` algorithms) rather than sequentially.
+    fn parallel_streams(&self) -> bool {
+        matches!(
+            self.algorithm,
+            Algorithm::ParallelBasic | Algorithm::ParallelAware
+        )
+    }
+
     /// The cost matrix handed to the dispatched driver: the profiled
     /// matrix for the aware algorithms (and the lowmem drivers, which are
     /// architecture-aware whenever a matrix is supplied), uniform
@@ -787,10 +789,7 @@ impl PartitionJob {
                 | Algorithm::ParallelBasic
                 | Algorithm::ParallelAware
         );
-        let bsp = matches!(
-            self.algorithm,
-            Algorithm::ParallelBasic | Algorithm::ParallelAware
-        );
+        let parallel = self.parallel_streams();
         let lowmem = self.algorithm.supports_streams();
         let architecture_aware = match self.algorithm {
             Algorithm::HyperPrawBasic
@@ -842,23 +841,22 @@ impl PartitionJob {
             } else {
                 None
             },
-            connectivity: restreaming.then(|| self.hyperpraw.connectivity.name()),
             stream_order: restreaming.then(|| self.hyperpraw.stream_order.name()),
-            threads: if bsp {
+            threads: if parallel {
                 self.parallel.num_threads
             } else if lowmem {
                 self.lowmem.threads
             } else {
                 1
             },
-            parallel_mode: if bsp {
+            parallel_mode: if parallel {
                 Some(self.parallel.mode.name())
             } else if lowmem && self.lowmem.threads > 1 {
                 Some(self.lowmem.mode.name())
             } else {
                 None
             },
-            sync_interval: if bsp && self.parallel.mode == ParallelMode::Bsp {
+            sync_interval: if parallel && self.parallel.mode == ParallelMode::Bsp {
                 Some(self.parallel.sync_interval)
             } else if lowmem && self.lowmem.threads > 1 && self.lowmem.mode == ParallelMode::Bsp {
                 Some(self.lowmem.sync_interval)

@@ -89,8 +89,6 @@ pub struct EffectiveConfig {
     pub refinement_factor: Option<f64>,
     /// Explicit initial `α` (when the configuration pinned one).
     pub initial_alpha: Option<f64>,
-    /// Connectivity provider name (in-memory HyperPRAW drivers).
-    pub connectivity: Option<&'static str>,
     /// Stream order name (in-memory HyperPRAW drivers).
     pub stream_order: Option<&'static str>,
     /// Worker threads (1 = sequential); a `threads(0)` auto-detect request
@@ -266,7 +264,6 @@ impl PartitionReport {
             json_opt_f64(c.refinement_factor),
         );
         subfield(&mut out, "initial_alpha", json_opt_f64(c.initial_alpha));
-        subfield(&mut out, "connectivity", json_opt_str(c.connectivity));
         subfield(&mut out, "stream_order", json_opt_str(c.stream_order));
         subfield(&mut out, "threads", c.threads.to_string());
         subfield(&mut out, "parallel_mode", json_opt_str(c.parallel_mode));
@@ -612,7 +609,6 @@ pub(crate) mod tests {
                 tempering_factor: None,
                 refinement_factor: None,
                 initial_alpha: None,
-                connectivity: None,
                 stream_order: None,
                 threads: 1,
                 parallel_mode: None,

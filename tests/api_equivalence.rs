@@ -58,32 +58,39 @@ fn hyperpraw_aware_matches_the_direct_driver_bit_for_bit() {
 
 #[test]
 fn parallel_variants_match_the_direct_driver_bit_for_bit() {
+    // Both schedules of the merged dispatch arm: deterministic BSP at any
+    // thread count, and work stealing at the one thread where it is
+    // reproducible.
     let hg = instance();
     let cost = testbed_cost(P as usize, 5);
-    for (algorithm, driver_cost) in [
-        (Algorithm::ParallelBasic, CostMatrix::uniform(P as usize)),
-        (Algorithm::ParallelAware, cost.clone()),
+    for parallel in [
+        ParallelConfig {
+            num_threads: 3,
+            sync_interval: 256,
+            mode: ParallelMode::Bsp,
+        },
+        ParallelConfig::stealing(1),
     ] {
-        let direct = ParallelHyperPraw::new(
-            HyperPrawConfig::default().with_seed(SEED),
-            ParallelConfig {
-                num_threads: 3,
-                sync_interval: 256,
-                mode: ParallelMode::Bsp,
-            },
-            driver_cost,
-        )
-        .partition(&hg);
-        let api = PartitionJob::new(algorithm)
-            .cost(cost.clone())
-            .seed(SEED)
-            .threads(3)
-            .sync_interval(256)
-            .run(&hg)
-            .unwrap();
-        assert_eq!(api.partition, direct.partition, "{algorithm:?}");
-        assert_eq!(api.history, direct.history, "{algorithm:?}");
-        assert_eq!(api.iterations, direct.iterations, "{algorithm:?}");
+        for (algorithm, driver_cost) in [
+            (Algorithm::ParallelBasic, CostMatrix::uniform(P as usize)),
+            (Algorithm::ParallelAware, cost.clone()),
+        ] {
+            let direct = HyperPraw::new(HyperPrawConfig::default().with_seed(SEED), driver_cost)
+                .with_parallel(parallel)
+                .partition(&hg);
+            let api = PartitionJob::new(algorithm)
+                .cost(cost.clone())
+                .seed(SEED)
+                .threads(parallel.num_threads)
+                .sync_interval(parallel.sync_interval)
+                .parallel_mode(parallel.mode)
+                .run(&hg)
+                .unwrap();
+            let label = format!("{algorithm:?}/{}", parallel.mode.name());
+            assert_eq!(api.partition, direct.partition, "{label}");
+            assert_eq!(api.history, direct.history, "{label}");
+            assert_eq!(api.iterations, direct.iterations, "{label}");
+        }
     }
 }
 
