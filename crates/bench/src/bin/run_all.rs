@@ -19,6 +19,7 @@
 use std::process::Command;
 use std::time::Instant;
 
+use hyperpraw::json::{self, ToJson};
 use hyperpraw_bench::ExperimentConfig;
 
 fn main() {
@@ -77,16 +78,16 @@ fn main() {
     if timings.is_empty() {
         println!("\nno prebuilt binaries were timed; BENCH_run_all.json left untouched");
     } else {
-        let mut json = String::from("{\n");
+        let mut doc = String::from("{\n");
         for (i, (bin, secs)) in timings.iter().enumerate() {
-            if i > 0 {
-                json.push_str(",\n");
-            }
-            json.push_str(&format!("  \"{bin}\": {secs:.3}"));
+            doc.push_str(if i == 0 { "  " } else { ",\n  " });
+            bin.write_json(&mut doc);
+            doc.push_str(": ");
+            json::round3(*secs).write_json(&mut doc);
         }
-        json.push_str("\n}\n");
+        doc.push_str("\n}\n");
         let path = out_dir.join("BENCH_run_all.json");
-        match std::fs::create_dir_all(&out_dir).and_then(|()| std::fs::write(&path, json)) {
+        match std::fs::create_dir_all(&out_dir).and_then(|()| std::fs::write(&path, doc)) {
             Ok(()) => println!("\nper-experiment timings written to {}", path.display()),
             Err(e) => eprintln!("\nwarning: could not write {}: {e}", path.display()),
         }

@@ -302,7 +302,7 @@ pub fn usage() -> String {
                            [--metrics-addr 127.0.0.1:9100]\n\
      \n\
      All algorithms dispatch through the facade's unified PartitionJob API; --json emits the\n\
-     common PartitionReport as machine-readable JSON.\n\
+     common PartitionReport as machine-readable JSON on one line.\n\
      serve keeps a dynamic session resident and answers one JSON request per line:\n\
        {\"op\":\"partition\",...} {\"op\":\"update\",...} {\"op\":\"lookup\",...} {\"op\":\"report\"} {\"op\":\"shutdown\"}\n\
      With --state-dir every accepted update batch is journaled (fsynced) before it is\n\

@@ -212,13 +212,13 @@ fn emit_report(
     output: Option<&Path>,
 ) -> Result<(), CommandError> {
     if json {
-        print!("{}", report.to_json());
+        println!("{}", report.to_json());
     } else {
         println!("{header}");
         print!("{}", report.text_summary());
     }
     if let Some(path) = json_out {
-        fs::write(path, report.to_json())?;
+        fs::write(path, report.to_json() + "\n")?;
         if !json {
             println!("json report      : {}", path.display());
         }

@@ -81,11 +81,11 @@
 //! SIGTERM/SIGINT both stop the daemon after flushing the journal and
 //! writing a final snapshot.
 //!
-//! Responses embed the facade's [`hyperpraw::report::PartitionReport`] /
-//! `UpdateReport` JSON,
-//! compacted onto the line (the report writer escapes every newline inside
-//! strings, so stripping layout whitespace is loss-free). Errors never
-//! kill the session: every failure answers a structured
+//! Every response is one line of JSON written by the workspace's one
+//! writer ([`hyperpraw::json`]); the facade's
+//! [`hyperpraw::report::PartitionReport`] / `UpdateReport` are written
+//! straight into the reply. Errors never kill the session: every failure
+//! answers a structured
 //! `{"ok": false, "error": {"message": "...", "offset": N}}` object —
 //! `offset` is the parser's byte offset into the request line when the
 //! line itself was malformed (invalid JSON, or not UTF-8 at all), and is
@@ -104,7 +104,7 @@ use std::time::{Duration, Instant};
 use hyperpraw::api::{Algorithm, DynamicSession, PartitionJob};
 use hyperpraw::dynamic::{GraphUpdate, StateDir};
 use hyperpraw::hypergraph::{run_on_workers, HypergraphBuilder};
-use hyperpraw::json::{self, JsonValue};
+use hyperpraw::json::{self, JsonValue, Object};
 use hyperpraw::report::RecoveryReport;
 use hyperpraw::telemetry::{Counter, Gauge, Histogram, Registry};
 
@@ -757,8 +757,13 @@ fn respond_bytes(
 /// `{"ok": false, ...}` responses).
 fn respond(line: &str, state: &mut ServeState, opts: &ServeOptions) -> (String, bool) {
     match handle(line, state, opts) {
-        Ok(Reply::Payload(body)) => (format!("{{\"ok\": true, {body}}}"), false),
-        Ok(Reply::Shutdown) => ("{\"ok\": true, \"bye\": true}".to_string(), true),
+        Ok(Reply::Payload(answer)) => (answer, false),
+        Ok(Reply::Shutdown) => (
+            reply(true, |o| {
+                o.field("bye", true);
+            }),
+            true,
+        ),
         Err(error) => (error_response(&error), false),
     }
 }
@@ -789,18 +794,28 @@ impl From<&str> for ServeError {
 /// object; `offset` appears only when the request line itself failed to
 /// parse.
 fn error_response(error: &ServeError) -> String {
-    let mut out = format!(
-        "{{\"ok\": false, \"error\": {{\"message\": {}",
-        escape(&error.message)
-    );
-    if let Some(offset) = error.offset {
-        out.push_str(&format!(", \"offset\": {offset}"));
-    }
-    out.push_str("}}");
+    reply(false, |o| {
+        o.object("error", |e| {
+            e.field("message", &error.message);
+            if let Some(offset) = error.offset {
+                e.field("offset", offset);
+            }
+        });
+    })
+}
+
+/// One reply line, `{"ok": <ok>, ...}`, with the fields `body` writes.
+fn reply(ok: bool, body: impl FnOnce(&mut Object<'_>)) -> String {
+    let mut out = String::new();
+    json::object(&mut out, |o| {
+        o.field("ok", ok);
+        body(o);
+    });
     out
 }
 
 enum Reply {
+    /// A complete reply line (see [`reply`]).
     Payload(String),
     Shutdown,
 }
@@ -841,7 +856,7 @@ fn handle_op(
 ) -> Result<Reply, ServeError> {
     match op {
         "partition" => {
-            let report = start_session(request, state)?;
+            start_session(request, state)?;
             let ServeState {
                 session,
                 store,
@@ -849,7 +864,11 @@ fn handle_op(
                 persist_error,
                 ..
             } = state;
-            if let (Some(store), Some(session)) = (store.as_mut(), session.as_ref()) {
+            let session = session.as_ref().expect("start_session installed a session");
+            let answer = reply(true, |o| {
+                o.field("report", session.initial_report());
+            });
+            if let Some(store) = store.as_mut() {
                 resync_snapshot(
                     store,
                     session,
@@ -858,7 +877,7 @@ fn handle_op(
                     "initial snapshot",
                 );
             }
-            Ok(Reply::Payload(format!("\"report\": {report}")))
+            Ok(Reply::Payload(answer))
         }
         "update" => {
             let updates = parse_updates(request)?;
@@ -904,10 +923,9 @@ fn handle_op(
                     );
                 }
             }
-            Ok(Reply::Payload(format!(
-                "\"update\": {}",
-                compact(&update.to_json())
-            )))
+            Ok(Reply::Payload(reply(true, |o| {
+                o.field("update", &update);
+            })))
         }
         "lookup" => {
             let session = state
@@ -924,53 +942,45 @@ fn handle_op(
             }
             // In-range but tombstoned ids answer null: the id existed,
             // its vertex is gone.
-            let part = match session.lookup(vertex) {
-                Some(p) => p.to_string(),
-                None => "null".to_string(),
-            };
-            Ok(Reply::Payload(format!(
-                "\"vertex\": {vertex}, \"part\": {part}"
-            )))
+            Ok(Reply::Payload(reply(true, |o| {
+                o.field("vertex", vertex)
+                    .field("part", session.lookup(vertex));
+            })))
         }
         "report" => {
             let session = state
                 .session
                 .as_ref()
                 .ok_or("no session: send 'partition' first")?;
-            let mut body = format!("\"report\": {}", compact(&session.report().to_json()));
-            if let Some(recovery) = session.recovery() {
-                body.push_str(&format!(", \"recovery\": {}", recovery.to_json()));
-            }
-            if let Some(err) = &state.persist_error {
-                body.push_str(&format!(", \"persistence_error\": {}", escape(err)));
-            }
-            body.push_str(&format!(
-                ", \"uptime_secs\": {:.3}",
-                state.metrics.started.elapsed().as_secs_f64()
-            ));
-            // Requests answered so far, per op. The `report` being built
-            // has not been counted yet — totals are through the previous
-            // request.
-            body.push_str(", \"requests\": {");
-            for (i, (name, requests, _)) in state.metrics.ops.iter().enumerate() {
-                if i > 0 {
-                    body.push_str(", ");
+            let report = session.report();
+            Ok(Reply::Payload(reply(true, |o| {
+                o.field("report", &report);
+                if let Some(recovery) = session.recovery() {
+                    o.field("recovery", recovery);
                 }
-                body.push_str(&format!("\"{name}\": {}", requests.get()));
-            }
-            body.push('}');
-            if let Some(store) = &state.store {
-                body.push_str(&format!(
-                    ", \"batches_since_snapshot\": {}",
-                    store.batches_since_snapshot()
-                ));
-            }
-            Ok(Reply::Payload(body))
+                if let Some(err) = &state.persist_error {
+                    o.field("persistence_error", err);
+                }
+                o.field(
+                    "uptime_secs",
+                    json::round3(state.metrics.started.elapsed().as_secs_f64()),
+                );
+                // Requests answered so far, per op. The `report` being
+                // built has not been counted yet — totals are through the
+                // previous request.
+                o.object("requests", |r| {
+                    for (name, requests, _) in &state.metrics.ops {
+                        r.field(name, requests.get());
+                    }
+                });
+                if let Some(store) = &state.store {
+                    o.field("batches_since_snapshot", store.batches_since_snapshot());
+                }
+            })))
         }
-        "metrics" => Ok(Reply::Payload(format!(
-            "\"metrics\": {}",
-            state.metrics.registry.render_json()
-        ))),
+        "metrics" => Ok(Reply::Payload(reply(true, |o| {
+            o.field("metrics", state.metrics.registry.snapshot());
+        }))),
         "shutdown" => Ok(Reply::Shutdown),
         other => Err(format!(
             "unknown op '{other}' (expected partition | update | lookup | report | metrics | shutdown)"
@@ -980,8 +990,8 @@ fn handle_op(
 }
 
 /// Builds the hypergraph named by a `partition` request and starts (or
-/// replaces) the resident session; returns the compacted initial report.
-fn start_session(request: &JsonValue, state: &mut ServeState) -> Result<String, String> {
+/// replaces) the resident session.
+fn start_session(request: &JsonValue, state: &mut ServeState) -> Result<(), String> {
     let parts = field_u64(request, "parts")?;
     let parts = u32::try_from(parts).map_err(|_| "'parts' out of range")?;
     let hg = match (request.get("edges"), request.get("path")) {
@@ -1026,10 +1036,8 @@ fn start_session(request: &JsonValue, state: &mut ServeState) -> Result<String, 
         }
         job = job.imbalance_tolerance(tol);
     }
-    let session = job.run_dynamic(&hg).map_err(|e| e.to_string())?;
-    let report = compact(&session.initial_report().to_json());
-    state.session = Some(session);
-    Ok(report)
+    state.session = Some(job.run_dynamic(&hg).map_err(|e| e.to_string())?);
+    Ok(())
 }
 
 /// An inline hypergraph: `"edges": [[pins...], ...]` plus an optional
@@ -1251,40 +1259,6 @@ impl<R: BufRead> LineReader<R> {
             }
         }
     }
-}
-
-/// Compacts the pretty-printed report JSON onto one line. The report
-/// writer escapes newlines inside strings, so every raw newline in its
-/// output is layout — dropping the indentation after it cannot corrupt a
-/// value.
-fn compact(pretty: &str) -> String {
-    let mut out = String::with_capacity(pretty.len());
-    for (i, line) in pretty.lines().enumerate() {
-        if i > 0 {
-            out.push(' ');
-        }
-        out.push_str(line.trim_start());
-    }
-    out
-}
-
-/// Escapes a message into a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -1646,14 +1620,5 @@ mod tests {
 
         drop(idle);
         server.join().unwrap().unwrap();
-    }
-
-    #[test]
-    fn compacted_reports_stay_valid_json() {
-        let pretty = "{\n  \"a\": \"line\\nbreak\",\n  \"b\": [\n    1,\n    2\n  ]\n}";
-        let compacted = compact(pretty);
-        assert!(!compacted.contains('\n'));
-        let v = json::parse(&compacted).unwrap();
-        assert_eq!(v.get("a").and_then(JsonValue::as_str), Some("line\nbreak"));
     }
 }

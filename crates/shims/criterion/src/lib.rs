@@ -1,5 +1,5 @@
-//! A minimal, dependency-free stand-in for the [`criterion`] benchmark
-//! harness.
+//! A minimal stand-in for the [`criterion`] benchmark harness, with no
+//! external dependency.
 //!
 //! The build environment of this repository cannot reach crates.io, so this
 //! crate vendors the subset of the criterion API the workspace's benches
@@ -21,10 +21,13 @@
 //! commit messages. `peak_rss_kib` is the process high-water mark
 //! (`VmHWM` from `/proc/self/status`) observed right after the benchmark
 //! ran, letting the out-of-core benches pin peak memory alongside the
-//! median; the key is omitted on platforms without procfs. The output
-//! directory defaults to `target/` and is overridable via
-//! `HYPERPRAW_BENCH_JSON_DIR`; nothing is written in `--test` mode
-//! (single untimed runs are not measurements).
+//! median; the key is omitted on platforms without procfs. The file is
+//! written through the workspace's one JSON writer
+//! ([`hyperpraw_telemetry::json`]): ids are escaped, medians are rounded
+//! to three decimals and a non-finite value is written as `null`, one id
+//! per line. The output directory defaults to `target/` and is
+//! overridable via `HYPERPRAW_BENCH_JSON_DIR`; nothing is written in
+//! `--test` mode (single untimed runs are not measurements).
 //!
 //! [`criterion`]: https://crates.io/crates/criterion
 
@@ -37,6 +40,8 @@ use std::hint;
 use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
+
+use hyperpraw_telemetry::json::{self, ToJson};
 
 /// Maximum wall-clock time spent measuring one benchmark.
 const TIME_BUDGET: Duration = Duration::from_secs(2);
@@ -115,29 +120,35 @@ pub fn write_json_report() {
         .map(PathBuf::from)
         .unwrap_or_else(default_json_dir);
     let path = dir.join(format!("BENCH_{}.json", bench_stem()));
-    let mut json = String::from("{\n");
-    for (i, (id, record)) in results.iter().enumerate() {
-        if i > 0 {
-            json.push_str(",\n");
-        }
-        json.push_str(&format!(
-            "  \"{id}\": {{\"median_ms\": {:.3}",
-            record.median_ms
-        ));
-        if let Some(kib) = record.peak_rss_kib {
-            json.push_str(&format!(", \"peak_rss_kib\": {kib}"));
-        }
-        json.push('}');
-    }
-    json.push_str("\n}\n");
     if std::fs::create_dir_all(&dir)
-        .and_then(|()| std::fs::write(&path, json))
+        .and_then(|()| std::fs::write(&path, render_report(&results)))
         .is_ok()
     {
         println!("bench medians written to {}", path.display());
     } else {
         eprintln!("warning: could not write {}", path.display());
     }
+}
+
+/// The `BENCH_<bench>.json` document: one
+/// `"id": {"median_ms": …, "peak_rss_kib": …}` entry per line, so
+/// regenerated snapshots diff line by line. Medians are rounded to three
+/// decimals; `peak_rss_kib` is omitted when unknown.
+fn render_report(results: &BTreeMap<String, BenchRecord>) -> String {
+    let mut out = String::from("{\n");
+    for (i, (id, record)) in results.iter().enumerate() {
+        out.push_str(if i == 0 { "  " } else { ",\n  " });
+        id.write_json(&mut out);
+        out.push_str(": ");
+        json::object(&mut out, |o| {
+            o.field("median_ms", json::round3(record.median_ms));
+            if let Some(kib) = record.peak_rss_kib {
+                o.field("peak_rss_kib", kib);
+            }
+        });
+    }
+    out.push_str("\n}\n");
+    out
 }
 
 /// Registers a pre-measured metric (in milliseconds) under `id` in the
@@ -407,6 +418,22 @@ mod tests {
         let reg = registry().lock().unwrap();
         let record = reg.get("shim_json/custom_metric").expect("metric recorded");
         assert!((record.median_ms - 12.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn report_escapes_ids_and_writes_non_finite_values_as_null() {
+        let mut results = BTreeMap::new();
+        let record = |median_ms| BenchRecord {
+            median_ms,
+            peak_rss_kib: None,
+        };
+        results.insert("odd\"id\\".to_string(), record(f64::NAN));
+        results.insert("plain/1".to_string(), record(1.23456));
+        assert_eq!(
+            render_report(&results),
+            "{\n  \"odd\\\"id\\\\\": {\"median_ms\": null},\n  \
+             \"plain/1\": {\"median_ms\": 1.235}\n}\n"
+        );
     }
 
     #[test]

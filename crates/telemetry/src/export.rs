@@ -1,8 +1,10 @@
-//! Text exposition of a [`RegistrySnapshot`]: Prometheus format and JSON.
+//! Text exposition of a [`RegistrySnapshot`]: the Prometheus format, and
+//! the [`ToJson`] impls that write it through the workspace's one JSON
+//! writer ([`crate::json`]).
 //!
-//! Both writers are hand-rolled (this crate has no dependencies) and emit
-//! metrics in name order, so output is stable across runs.
+//! Both emit metrics in name order, so output is stable across runs.
 
+use crate::json::{self, ToJson};
 use crate::{HistogramSnapshot, RegistrySnapshot};
 
 /// Quantiles reported for every histogram, everywhere:
@@ -51,68 +53,45 @@ pub(crate) fn prometheus(snap: &RegistrySnapshot) -> String {
     out
 }
 
-fn json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+impl ToJson for HistogramSnapshot {
+    /// `{"count", "sum", "min", "max", "mean", "p50", "p95", "p99"}`, the
+    /// mean rounded to three decimals.
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("count", self.count)
+                .field("sum", self.sum)
+                .field("min", self.min)
+                .field("max", self.max)
+                .field("mean", json::round3(self.mean()));
+            for (q, _, key) in QUANTILES {
+                o.field(key, self.quantile(q));
+            }
+        });
     }
-    out.push('"');
 }
 
-fn json_hist(out: &mut String, hist: &HistogramSnapshot) {
-    out.push_str(&format!(
-        "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {:.3}",
-        hist.count,
-        hist.sum,
-        hist.min,
-        hist.max,
-        hist.mean()
-    ));
-    for (q, _, key) in QUANTILES {
-        out.push_str(&format!(", \"{key}\": {}", hist.quantile(q)));
+impl ToJson for RegistrySnapshot {
+    /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`, each
+    /// section keyed by metric name.
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.object("counters", |c| {
+                for (name, value) in &self.counters {
+                    c.field(name, value);
+                }
+            })
+            .object("gauges", |g| {
+                for (name, value) in &self.gauges {
+                    g.field(name, value);
+                }
+            })
+            .object("histograms", |h| {
+                for (name, hist) in &self.histograms {
+                    h.field(name, hist);
+                }
+            });
+        });
     }
-    out.push('}');
-}
-
-/// Render the snapshot as
-/// `{"counters": {...}, "gauges": {...}, "histograms": {...}}` where each
-/// histogram carries `count`/`sum`/`min`/`max`/`mean` and `p50`/`p95`/`p99`.
-pub(crate) fn json(snap: &RegistrySnapshot) -> String {
-    let mut out = String::from("{\"counters\": {");
-    for (i, (name, value)) in snap.counters.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        json_str(&mut out, name);
-        out.push_str(&format!(": {value}"));
-    }
-    out.push_str("}, \"gauges\": {");
-    for (i, (name, value)) in snap.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        json_str(&mut out, name);
-        out.push_str(&format!(": {value}"));
-    }
-    out.push_str("}, \"histograms\": {");
-    for (i, (name, hist)) in snap.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        json_str(&mut out, name);
-        out.push_str(": ");
-        json_hist(&mut out, hist);
-    }
-    out.push_str("}}");
-    out
 }
 
 #[cfg(test)]

@@ -26,9 +26,12 @@
 //!
 //! [`Registry::render_prometheus`] emits the Prometheus text format
 //! (counters, gauges, and histograms as summaries with `quantile` labels);
-//! [`Registry::render_json`] emits a stable JSON document. Structured
-//! consumers (the facade's `PartitionReport`, the serve daemon's `metrics`
-//! request) walk a [`RegistrySnapshot`] instead and apply their own writers.
+//! [`Registry::render_json`] emits a stable JSON document.
+//!
+//! The [`json`] module is the one JSON writer of the whole workspace (it
+//! lives here because this crate has no dependencies and every layer
+//! links it); [`RegistrySnapshot`] implements [`json::ToJson`], so the
+//! facade's reports and the serve replies embed a snapshot directly.
 //!
 //! # Naming convention
 //!
@@ -38,6 +41,7 @@
 
 mod export;
 mod histogram;
+pub mod json;
 
 pub use histogram::{bucket_index, Histogram, HistogramSnapshot, NUM_BUCKETS};
 
@@ -352,7 +356,7 @@ impl Registry {
     /// Render every metric as a JSON document:
     /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`.
     pub fn render_json(&self) -> String {
-        export::json(&self.snapshot())
+        json::to_string(&self.snapshot())
     }
 }
 

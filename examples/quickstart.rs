@@ -96,15 +96,9 @@ fn main() {
 
     // Machine-readable results fall out of the same report.
     let aware = reports.last().expect("three strategies ran");
-    println!(
-        "\nJSON report of the aware run (first lines):\n{}\n  ...",
-        aware
-            .to_json()
-            .lines()
-            .take(7)
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    let json = aware.to_json();
+    let head: String = json.chars().take(240).collect();
+    println!("\nJSON report of the aware run (one line, first 240 chars):\n{head} ...");
 
     println!(
         "\nHyperPRAW's restreaming finds placements whose traffic matches the machine: the aware\n\

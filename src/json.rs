@@ -1,16 +1,22 @@
-//! A minimal JSON parser for the serve protocol.
+//! JSON in both directions: the workspace's one writer and a minimal
+//! parser.
 //!
-//! The workspace writes JSON by hand ([`crate::report`]) and deliberately
-//! carries no serialisation dependency; the `hyperpraw serve` daemon needs
-//! the other direction — parsing newline-delimited request objects — so
-//! this module provides a small recursive-descent parser into a
-//! [`JsonValue`] tree. It accepts standard JSON (RFC 8259): all escape
-//! sequences including `\uXXXX` surrogate pairs, scientific-notation
-//! numbers, and arbitrary whitespace. Objects preserve key order and keep
-//! duplicate keys (lookups return the first). Nesting depth is capped at
-//! [`MAX_DEPTH`] so a hostile request cannot overflow the stack.
+//! The writer ([`ToJson`], [`object`], [`to_string`]) is re-exported from
+//! [`hyperpraw_telemetry::json`]; every emitted document goes through its
+//! one escaper, one number rule and one single-line layout.
+//!
+//! The parser reads the `hyperpraw serve` daemon's newline-delimited
+//! requests (and the emitted documents, in tests and clients). [`parse`]
+//! is a small recursive-descent parser into a [`JsonValue`] tree. It
+//! accepts standard JSON (RFC 8259): all escape sequences including
+//! `\uXXXX` surrogate pairs, scientific-notation numbers, and arbitrary
+//! whitespace. Objects preserve key order and keep duplicate keys
+//! (lookups return the first). Nesting depth is capped at [`MAX_DEPTH`]
+//! so a hostile request cannot overflow the stack.
 
 use std::fmt;
+
+pub use hyperpraw_telemetry::json::{object, round3, to_string, Object, ToJson};
 
 /// Maximum nesting depth accepted by [`parse`].
 pub const MAX_DEPTH: usize = 128;
@@ -411,6 +417,22 @@ mod tests {
             Some("round-robin")
         );
         assert!(v.get("metrics").is_some());
+    }
+
+    #[test]
+    fn string_escaping_is_json_safe() {
+        assert_eq!(to_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+    }
+
+    #[test]
+    fn non_finite_numbers_serialise_as_null() {
+        let mut json = String::new();
+        object(&mut json, |o| {
+            o.field("imbalance", f64::NAN)
+                .field("comm_cost", Some(f64::INFINITY));
+        });
+        assert!(json.contains("\"imbalance\": null"));
+        assert!(json.contains("\"comm_cost\": null"));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! | [`dynamic`] | `hyperpraw-dynamic` | incremental repartitioning: batched graph updates, dirty-set restreaming, migration accounting |
 //! | [`storage`] | `hyperpraw-storage` | block-compressed out-of-core CSR (`.hpz`): delta-varint pin blocks, pluggable `ByteSource`s, prefetching chunk reader |
 //! | [`telemetry`] | `hyperpraw-telemetry` | zero-dependency metrics: atomic counters/gauges, mergeable log-scaled histograms, span timers, registry with Prometheus/JSON exposition |
-//! | [`json`] | (this crate) | dependency-free JSON parser for the `hyperpraw serve` newline-delimited protocol |
+//! | [`json`] | (this crate), writer from `hyperpraw-telemetry` | dependency-free JSON parser and writer: one escaper, one number rule, one single-line layout for every emitted document; the parser reads the `hyperpraw serve` protocol |
 //!
 //! ## End-to-end flow
 //!

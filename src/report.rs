@@ -3,15 +3,17 @@
 //! Every [`crate::api::PartitionJob`] run — whatever driver it dispatches
 //! to — produces one [`PartitionReport`]: the assignment, the per-stream
 //! history, the quality metrics, the per-phase wall-clock timings and the
-//! resolved effective configuration. The report serialises itself to JSON
-//! with a hand-rolled writer (no external dependencies), so bench sweeps
-//! and the CLI `--json` flag can emit machine-readable results.
+//! resolved effective configuration. The report serialises itself to
+//! single-line JSON through the workspace's one writer ([`crate::json`],
+//! no external dependencies), so bench sweeps, the serve daemon and the
+//! CLI `--json` flag emit machine-readable results.
 
 use hyperpraw_core::{PartitionHistory, StopReason};
 use hyperpraw_hypergraph::Partition;
 use hyperpraw_lowmem::StreamedQuality;
 
 use crate::api::Algorithm;
+use crate::json::{self, ToJson};
 
 /// Where a report's quality metrics stand. Stream runs cannot afford an
 /// in-memory evaluation, so their cut metrics start out deferred rather
@@ -167,176 +169,10 @@ impl PartitionReport {
         self.quality = QualityStatus::Streamed;
     }
 
-    /// Serialises the report as a JSON object, without the per-vertex
-    /// assignment (use [`PartitionReport::to_json_with_assignment`] when
-    /// the consumer needs it inline).
+    /// Serialises the report as a single-line JSON object (without the
+    /// per-vertex assignment, which the CLI writes through `--output`).
     pub fn to_json(&self) -> String {
-        self.render_json(false)
-    }
-
-    /// Serialises the report as a JSON object including the `assignment`
-    /// array (one partition id per vertex).
-    pub fn to_json_with_assignment(&self) -> String {
-        self.render_json(true)
-    }
-
-    fn render_json(&self, with_assignment: bool) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n");
-        field(&mut out, "algorithm", json_str(self.algorithm.name()));
-        field(
-            &mut out,
-            "partitions",
-            self.partition.num_parts().to_string(),
-        );
-        field(
-            &mut out,
-            "num_vertices",
-            self.partition.num_vertices().to_string(),
-        );
-        field(&mut out, "iterations", self.iterations.to_string());
-        field(
-            &mut out,
-            "stop_reason",
-            match self.stop_reason {
-                Some(r) => json_str(r.name()),
-                None => "null".into(),
-            },
-        );
-        field(&mut out, "final_alpha", json_opt_f64(self.final_alpha));
-
-        out.push_str("  \"metrics\": {\n");
-        subfield(&mut out, "quality", json_str(self.quality.name()));
-        subfield(&mut out, "imbalance", json_f64(self.imbalance));
-        subfield(&mut out, "comm_cost", json_opt_f64(self.comm_cost));
-        subfield(&mut out, "hyperedge_cut", json_opt_u64(self.hyperedge_cut));
-        last_subfield(&mut out, "soed", json_opt_u64(self.soed));
-        out.push_str("  },\n");
-
-        // The telemetry section subsumes the per-phase timings and, when
-        // the job ran with a live registry, embeds its metric snapshot
-        // (counters, gauges, histogram percentiles).
-        out.push_str("  \"telemetry\": {\n");
-        subfield(
-            &mut out,
-            "partition_secs",
-            json_f64(self.timings.partition_secs),
-        );
-        subfield(
-            &mut out,
-            "evaluate_secs",
-            json_f64(self.timings.evaluate_secs),
-        );
-        last_subfield(
-            &mut out,
-            "metrics",
-            if self.telemetry.is_enabled() {
-                self.telemetry.render_json()
-            } else {
-                "null".into()
-            },
-        );
-        out.push_str("  },\n");
-
-        let c = &self.config;
-        out.push_str("  \"config\": {\n");
-        subfield(&mut out, "partitions", c.partitions.to_string());
-        subfield(&mut out, "seed", c.seed.to_string());
-        subfield(
-            &mut out,
-            "architecture_aware",
-            c.architecture_aware.to_string(),
-        );
-        subfield(
-            &mut out,
-            "imbalance_tolerance",
-            json_opt_f64(c.imbalance_tolerance),
-        );
-        subfield(&mut out, "max_iterations", json_opt_usize(c.max_iterations));
-        subfield(
-            &mut out,
-            "tempering_factor",
-            json_opt_f64(c.tempering_factor),
-        );
-        subfield(
-            &mut out,
-            "refinement_factor",
-            json_opt_f64(c.refinement_factor),
-        );
-        subfield(&mut out, "initial_alpha", json_opt_f64(c.initial_alpha));
-        subfield(&mut out, "stream_order", json_opt_str(c.stream_order));
-        subfield(&mut out, "threads", c.threads.to_string());
-        subfield(&mut out, "parallel_mode", json_opt_str(c.parallel_mode));
-        subfield(&mut out, "sync_interval", json_opt_usize(c.sync_interval));
-        subfield(&mut out, "index", json_opt_str(c.index));
-        subfield(&mut out, "budget_bytes", json_opt_usize(c.budget_bytes));
-        last_subfield(
-            &mut out,
-            "rebuild_sketches",
-            match c.rebuild_sketches {
-                Some(b) => b.to_string(),
-                None => "null".into(),
-            },
-        );
-        out.push_str("  },\n");
-
-        match &self.lowmem {
-            None => field(&mut out, "lowmem", "null".into()),
-            Some(s) => {
-                out.push_str("  \"lowmem\": {\n");
-                subfield(&mut out, "alpha", json_f64(s.alpha));
-                subfield(&mut out, "passes", s.passes.to_string());
-                subfield(&mut out, "restreamed", s.restreamed.to_string());
-                subfield(
-                    &mut out,
-                    "moved_in_restream",
-                    s.moved_in_restream.to_string(),
-                );
-                last_subfield(
-                    &mut out,
-                    "index_memory_bytes",
-                    s.index_memory_bytes.to_string(),
-                );
-                out.push_str("  },\n");
-            }
-        }
-
-        out.push_str("  \"history\": [");
-        for (i, r) in self.history.records().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!(
-                "\"iteration\": {}, \"phase\": {}, \"alpha\": {}, \"imbalance\": {}, \
-                 \"comm_cost\": {}, \"moved_vertices\": {}",
-                r.iteration,
-                json_str(r.phase.name()),
-                json_f64(r.alpha),
-                json_f64(r.imbalance),
-                json_f64(r.comm_cost),
-                r.moved_vertices
-            ));
-            out.push('}');
-        }
-        if self.history.is_empty() {
-            out.push(']');
-        } else {
-            out.push_str("\n  ]");
-        }
-
-        if with_assignment {
-            out.push_str(",\n  \"assignment\": [");
-            for (i, &p) in self.partition.assignment().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&p.to_string());
-            }
-            out.push(']');
-        }
-        out.push_str("\n}\n");
-        out
+        json::to_string(self)
     }
 
     /// A human-readable multi-line summary (the CLI's text output).
@@ -407,12 +243,9 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    /// Serialises the recovery stats as a compact JSON object.
+    /// Serialises the recovery stats as a single-line JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"snapshot_bytes\": {}, \"batches_replayed\": {}, \"truncated_bytes\": {}, \"torn_tail\": {}}}",
-            self.snapshot_bytes, self.batches_replayed, self.truncated_bytes, self.torn_tail
-        )
+        json::to_string(self)
     }
 }
 
@@ -447,51 +280,10 @@ pub struct UpdateReport {
 }
 
 impl UpdateReport {
-    /// Serialises the update report as a JSON object with the underlying
-    /// [`PartitionReport`] embedded under `"report"`.
+    /// Serialises the update report as a single-line JSON object with the
+    /// underlying [`PartitionReport`] embedded under `"report"`.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1536);
-        out.push_str("{\n");
-        out.push_str("  \"update\": {\n");
-        subfield(&mut out, "dirty_vertices", self.dirty_vertices.to_string());
-        subfield(
-            &mut out,
-            "rebuilt_adjacency",
-            self.rebuilt_adjacency.to_string(),
-        );
-        let ids: Vec<String> = self.new_vertices.iter().map(|v| v.to_string()).collect();
-        last_subfield(&mut out, "new_vertices", format!("[{}]", ids.join(",")));
-        out.push_str("  },\n");
-        out.push_str("  \"migration\": {\n");
-        subfield(
-            &mut out,
-            "vertices_moved",
-            self.migration.vertices_moved.to_string(),
-        );
-        subfield(
-            &mut out,
-            "moved_fraction",
-            json_f64(self.migration.moved_fraction),
-        );
-        last_subfield(
-            &mut out,
-            "bytes_moved",
-            json_f64(self.migration.bytes_moved),
-        );
-        out.push_str("  },\n");
-        // Embed the report, re-indented two spaces. Safe to do per line:
-        // the writer escapes newlines inside strings, so every literal
-        // '\n' in the JSON is structural.
-        out.push_str("  \"report\": ");
-        for (i, line) in self.report.to_json().trim_end().lines().enumerate() {
-            if i > 0 {
-                out.push_str("  ");
-            }
-            out.push_str(line);
-            out.push('\n');
-        }
-        out.push_str("}\n");
-        out
+        json::to_string(self)
     }
 
     /// A human-readable multi-line summary.
@@ -525,60 +317,110 @@ impl UpdateReport {
     }
 }
 
-fn field(out: &mut String, key: &str, value: String) {
-    out.push_str(&format!("  \"{key}\": {value},\n"));
-}
-
-fn subfield(out: &mut String, key: &str, value: String) {
-    out.push_str(&format!("    \"{key}\": {value},\n"));
-}
-
-fn last_subfield(out: &mut String, key: &str, value: String) {
-    out.push_str(&format!("    \"{key}\": {value}\n"));
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+impl ToJson for PartitionReport {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("algorithm", self.algorithm.name())
+                .field("partitions", self.partition.num_parts())
+                .field("num_vertices", self.partition.num_vertices())
+                .field("iterations", self.iterations)
+                .field("stop_reason", self.stop_reason.map(|r| r.name()))
+                .field("final_alpha", self.final_alpha)
+                .object("metrics", |m| {
+                    m.field("quality", self.quality.name())
+                        .field("imbalance", self.imbalance)
+                        .field("comm_cost", self.comm_cost)
+                        .field("hyperedge_cut", self.hyperedge_cut)
+                        .field("soed", self.soed);
+                })
+                // The telemetry section subsumes the per-phase timings and,
+                // when the job ran with a live registry, embeds its metric
+                // snapshot (counters, gauges, histogram percentiles).
+                .object("telemetry", |t| {
+                    t.field("partition_secs", self.timings.partition_secs)
+                        .field("evaluate_secs", self.timings.evaluate_secs)
+                        .field(
+                            "metrics",
+                            self.telemetry
+                                .is_enabled()
+                                .then(|| self.telemetry.snapshot()),
+                        );
+                })
+                .field("config", &self.config)
+                .field("lowmem", self.lowmem.as_ref())
+                .objects("history", self.history.records(), |e, r| {
+                    e.field("iteration", r.iteration)
+                        .field("phase", r.phase.name())
+                        .field("alpha", r.alpha)
+                        .field("imbalance", r.imbalance)
+                        .field("comm_cost", r.comm_cost)
+                        .field("moved_vertices", r.moved_vertices);
+                });
+        });
     }
-    out.push('"');
-    out
 }
 
-/// JSON number (finite) or `null` — JSON has no NaN/Infinity literals.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
+impl ToJson for EffectiveConfig {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("partitions", self.partitions)
+                .field("seed", self.seed)
+                .field("architecture_aware", self.architecture_aware)
+                .field("imbalance_tolerance", self.imbalance_tolerance)
+                .field("max_iterations", self.max_iterations)
+                .field("tempering_factor", self.tempering_factor)
+                .field("refinement_factor", self.refinement_factor)
+                .field("initial_alpha", self.initial_alpha)
+                .field("stream_order", self.stream_order)
+                .field("threads", self.threads)
+                .field("parallel_mode", self.parallel_mode)
+                .field("sync_interval", self.sync_interval)
+                .field("index", self.index)
+                .field("budget_bytes", self.budget_bytes)
+                .field("rebuild_sketches", self.rebuild_sketches);
+        });
     }
 }
 
-fn json_opt_f64(v: Option<f64>) -> String {
-    v.map(json_f64).unwrap_or_else(|| "null".into())
+impl ToJson for LowMemStats {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("alpha", self.alpha)
+                .field("passes", self.passes)
+                .field("restreamed", self.restreamed)
+                .field("moved_in_restream", self.moved_in_restream)
+                .field("index_memory_bytes", self.index_memory_bytes);
+        });
+    }
 }
 
-fn json_opt_u64(v: Option<u64>) -> String {
-    v.map(|x| x.to_string()).unwrap_or_else(|| "null".into())
+impl ToJson for RecoveryReport {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("snapshot_bytes", self.snapshot_bytes)
+                .field("batches_replayed", self.batches_replayed)
+                .field("truncated_bytes", self.truncated_bytes)
+                .field("torn_tail", self.torn_tail);
+        });
+    }
 }
 
-fn json_opt_usize(v: Option<usize>) -> String {
-    v.map(|x| x.to_string()).unwrap_or_else(|| "null".into())
-}
-
-fn json_opt_str(v: Option<&'static str>) -> String {
-    v.map(json_str).unwrap_or_else(|| "null".into())
+impl ToJson for UpdateReport {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.object("update", |u| {
+                u.field("dirty_vertices", self.dirty_vertices)
+                    .field("rebuilt_adjacency", self.rebuilt_adjacency)
+                    .field("new_vertices", self.new_vertices.as_slice());
+            })
+            .object("migration", |m| {
+                m.field("vertices_moved", self.migration.vertices_moved)
+                    .field("moved_fraction", self.migration.moved_fraction)
+                    .field("bytes_moved", self.migration.bytes_moved);
+            })
+            .field("report", &self.report);
+        });
+    }
 }
 
 #[cfg(test)]
@@ -662,27 +504,6 @@ pub(crate) mod tests {
             json.matches('}').count(),
             "unbalanced braces"
         );
-    }
-
-    #[test]
-    fn assignment_variant_lists_every_vertex() {
-        let json = sample_report().to_json_with_assignment();
-        assert!(json.contains("\"assignment\": [0,1,0,1,0,1]"));
-    }
-
-    #[test]
-    fn non_finite_numbers_serialise_as_null() {
-        let mut report = sample_report();
-        report.imbalance = f64::NAN;
-        report.comm_cost = Some(f64::INFINITY);
-        let json = report.to_json();
-        assert!(json.contains("\"imbalance\": null"));
-        assert!(json.contains("\"comm_cost\": null"));
-    }
-
-    #[test]
-    fn string_escaping_is_json_safe() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! connection, the parser must either produce a value or return a
 //! [`hyperpraw::json::JsonError`] whose byte offset points inside the
 //! input — it must never panic, and the offset in the structured error
-//! response must always be meaningful to the client.
+//! response must always be meaningful to the client. The writer, in turn,
+//! must round-trip through the parser: any string comes back as the same
+//! `String`, any `f64` as the same number (or `null` when non-finite).
 
 use hyperpraw::json::{self, JsonValue};
 use proptest::prelude::*;
@@ -78,6 +80,80 @@ proptest! {
         if full.is_char_boundary(cut) {
             check(&full[..cut])?;
         }
+    }
+}
+
+/// Characters the writer must escape, or must pass through untouched:
+/// quotes, backslashes, DEL, and multi-byte code points up to the astral
+/// planes (control characters and arbitrary scalars are drawn apart).
+const WRITER_ALPHABET: [char; 10] = [
+    '"', '\\', '/', 'a', ' ', '\u{7f}', 'é', '\u{2028}', '€', '😀',
+];
+
+/// One character per `(kind, code)` pick: a control character, a member
+/// of [`WRITER_ALPHABET`], or an arbitrary Unicode scalar value.
+fn pick_char(kind: u32, code: u32) -> char {
+    match kind {
+        0 => char::from_u32(code % 0x20).unwrap(),
+        1 => WRITER_ALPHABET[code as usize % WRITER_ALPHABET.len()],
+        _ => char::from_u32(code).unwrap_or('\u{fffd}'),
+    }
+}
+
+fn round_trip_number(v: f64) -> Result<(), String> {
+    let text = json::to_string(&v);
+    let parsed = json::parse(&text).map_err(|e| format!("{text}: {e}"))?;
+    if v.is_finite() {
+        prop_assert_eq!(parsed.as_f64().map(f64::to_bits), Some(v.to_bits()));
+    } else {
+        prop_assert_eq!(parsed, JsonValue::Null);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Any string, control characters, quotes and non-ASCII included,
+    /// parses back to the same `String` from one line of JSON.
+    #[test]
+    fn written_strings_parse_back_unchanged(
+        picks in prop::collection::vec((0u32..3, 0u32..0x11_0000), 0..48),
+    ) {
+        let s: String = picks.iter().map(|&(kind, code)| pick_char(kind, code)).collect();
+        let text = json::to_string(s.as_str());
+        prop_assert!(!text.contains('\n'), "raw newline in {text:?}");
+        let parsed = json::parse(&text).map_err(|e| format!("{text}: {e}"))?;
+        prop_assert_eq!(parsed, JsonValue::String(s));
+    }
+
+    /// Any `f64` bit pattern parses back to the same number, or to `null`
+    /// when it is NaN or infinite.
+    #[test]
+    fn written_numbers_parse_back_unchanged(bits in 0u64..=u64::MAX) {
+        round_trip_number(f64::from_bits(bits))?;
+    }
+}
+
+/// The bit patterns random sampling rarely reaches: zeros, subnormals,
+/// the extremes and the non-finite values.
+#[test]
+fn edge_case_numbers_round_trip() {
+    for v in [
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE,
+        f64::from_bits(1),
+        f64::MAX,
+        f64::MIN,
+        f64::EPSILON,
+        0.1 + 0.2,
+        1e21,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ] {
+        round_trip_number(v).unwrap();
     }
 }
 
