@@ -27,7 +27,7 @@ use hyperpraw::storage;
 use hyperpraw::telemetry;
 use hyperpraw::topology::MachineModel;
 
-use crate::args::{Cli, Command, MachinePreset, StreamFormat};
+use crate::args::{Cli, Command, JobArgs, LowMemArgs, MachinePreset, StreamFormat};
 
 /// Errors surfaced to the CLI user.
 #[derive(Debug)]
@@ -120,15 +120,18 @@ fn convert_to_temp_hpz(
     Ok(hpz)
 }
 
+/// The lower-cased extension of `path`; empty when it has none.
+fn extension(path: &Path) -> String {
+    path.extension()
+        .and_then(|e| e.to_str())
+        .unwrap_or("")
+        .to_ascii_lowercase()
+}
+
 /// Loads a hypergraph, dispatching on the file extension: `.hgr` (hMetis),
 /// `.mtx` (MatrixMarket row-net model), anything else as an edge list.
 pub fn load_hypergraph(path: &Path) -> Result<Hypergraph, CommandError> {
-    let ext = path
-        .extension()
-        .and_then(|e| e.to_str())
-        .unwrap_or("")
-        .to_ascii_lowercase();
-    let hg = match ext.as_str() {
+    let hg = match extension(path).as_str() {
         "hgr" => hmetis::read_hgr_file(path)?,
         "mtx" => matrix_market::read_mtx_file(path, matrix_market::SparseMatrixModel::RowNet)?,
         _ => edgelist::read_edgelist_file(path)?,
@@ -201,326 +204,248 @@ pub fn write_assignment(path: &Path, partition: &Partition) -> Result<(), Comman
     Ok(())
 }
 
-/// Shared report output of the partitioning subcommands: JSON to stdout
-/// and/or file when requested, text summary otherwise, plus the optional
-/// assignment file.
-fn emit_report(
-    report: &PartitionReport,
-    header: &str,
-    json: bool,
-    json_out: Option<&Path>,
-    output: Option<&Path>,
+/// The shared tail of `partition` and `lowmem`: profiles the machine into
+/// a cost matrix, finishes configuring `job` from the shared arguments and
+/// lets `run` produce the report and its text-summary header. Then prints
+/// the report (JSON with `--json`, the text summary otherwise) and writes
+/// the requested JSON report, assignment and telemetry files.
+fn run_job(
+    args: &JobArgs,
+    job: PartitionJob,
+    run: impl FnOnce(
+        &PartitionJob,
+        &telemetry::Registry,
+    ) -> Result<(PartitionReport, String), CommandError>,
 ) -> Result<(), CommandError> {
-    if json {
+    if args.parts < 2 {
+        return Err(CommandError::Invalid("--parts must be at least 2".into()));
+    }
+    let (_, cost) = profile(args.machine, args.parts as usize, args.seed);
+    let metrics = telemetry::Registry::new();
+    let mut job = job
+        .partitions(args.parts)
+        .cost(cost)
+        .seed(args.seed)
+        .parallel_mode(args.parallel_mode)
+        .registry(&metrics);
+    if let Some(t) = args.threads {
+        if !job.algorithm().supports_threads() {
+            return Err(CommandError::Invalid(format!(
+                "--threads does not apply to {}; pick a parallel or lowmem algorithm",
+                job.algorithm().name()
+            )));
+        }
+        job = job.threads(t);
+    }
+    let (report, header) = run(&job, &metrics)?;
+    if args.json {
         println!("{}", report.to_json());
     } else {
         println!("{header}");
         print!("{}", report.text_summary());
     }
-    if let Some(path) = json_out {
+    let note = |label: &str, path: &Path| {
+        if !args.json {
+            println!("{label:<17}: {}", path.display());
+        }
+    };
+    if let Some(path) = &args.json_out {
         fs::write(path, report.to_json() + "\n")?;
-        if !json {
-            println!("json report      : {}", path.display());
-        }
+        note("json report", path);
     }
-    if let Some(path) = output {
+    if let Some(path) = &args.output {
         write_assignment(path, &report.partition)?;
-        if !json {
-            println!("assignment       : {}", path.display());
-        }
+        note("assignment", path);
+    }
+    if let Some(path) = &args.metrics_out {
+        fs::write(path, metrics.render_json())?;
+        note("metrics", path);
     }
     Ok(())
 }
 
-/// Dumps the run's telemetry registry as single-line JSON when
-/// `--metrics-out` asked for it.
-fn write_metrics(
-    path: Option<&Path>,
-    metrics: &telemetry::Registry,
-    json: bool,
+/// Back-fills the cut metrics of a streamed run's report by streaming the
+/// edge-major input file once more.
+fn attach_streamed_quality(
+    report: &mut PartitionReport,
+    input: &Path,
+    is_hgr: bool,
 ) -> Result<(), CommandError> {
-    if let Some(path) = path {
-        fs::write(path, metrics.render_json())?;
-        if !json {
-            println!("metrics          : {}", path.display());
-        }
-    }
+    let streamed = if is_hgr {
+        quality::evaluate_hgr_file(input, &report.partition)?
+    } else {
+        quality::evaluate_edgelist_file(input, &report.partition)?
+    };
+    report.attach_streamed_quality(&streamed);
     Ok(())
+}
+
+/// Runs `lowmem`: streams the input (transpose or compressed CSR) under
+/// the memory budget without loading it into RAM.
+fn lowmem(args: &LowMemArgs) -> Result<(), CommandError> {
+    let input = &args.job.input;
+    let parts = args.job.parts;
+    if args.rebuild_sketches && args.exact {
+        return Err(CommandError::Invalid(
+            "--rebuild-sketches only applies to the sketched index; drop --exact".into(),
+        ));
+    }
+    let input_is_compressed = storage::is_compressed_file(input);
+    let use_compressed = match args.format {
+        StreamFormat::Transpose => {
+            if input_is_compressed {
+                return Err(CommandError::Invalid(
+                    "input is a compressed .hpz file; drop --format transpose".into(),
+                ));
+            }
+            false
+        }
+        StreamFormat::Compressed => true,
+        StreamFormat::Auto => input_is_compressed,
+    };
+    let ext = extension(input);
+    if ext == "mtx" && !input_is_compressed {
+        return Err(CommandError::Invalid(
+            "MatrixMarket files are not streamable; convert to .hgr first".into(),
+        ));
+    }
+    let is_hgr = ext == "hgr" && !input_is_compressed;
+    let algorithm = if args.exact {
+        Algorithm::LowMemExact
+    } else {
+        Algorithm::LowMemSketched
+    };
+    let budget = MemoryBudget::mebibytes(args.budget_mib.max(1));
+    let job = PartitionJob::new(algorithm)
+        .memory_budget(budget)
+        .restream_capacity(args.restream)
+        .passes(args.passes)
+        .rebuild_sketches(args.rebuild_sketches)
+        .prefetch(!args.no_prefetch);
+    run_job(&args.job, job, |job, metrics| {
+        job.validate()?;
+        let options = StreamOptions {
+            buffer_bytes: budget.plan(parts as usize, 0).transpose_buffer_bytes,
+            spill_dir: None,
+        };
+        if is_hgr {
+            // The header carries the vertex count; reject an oversized
+            // --parts before paying for the on-disk transpose.
+            let header = read_hgr_header(input)?;
+            if (parts as usize) > header.num_vertices {
+                return Err(CommandError::Invalid(format!(
+                    "cannot split {} vertices into {parts} parts",
+                    header.num_vertices
+                )));
+            }
+        }
+        if use_compressed {
+            // Run over the block-compressed CSR, converting first when the
+            // input is still an .hgr / edge list. The temporary .hpz is
+            // removed when `temp_hpz` drops, on every path.
+            let temp_hpz = if input_is_compressed {
+                None
+            } else {
+                Some(convert_to_temp_hpz(input, &std::env::temp_dir(), &options)?)
+            };
+            let hpz_path = temp_hpz.as_ref().map_or(input.as_path(), TempFile::path);
+            let reader = storage::CompressedReader::open_file(hpz_path)
+                .map_err(|e| CommandError::Io(e.to_string()))?;
+            let meta = *reader.meta();
+            if (parts as u64) > meta.num_vertices {
+                return Err(CommandError::Invalid(format!(
+                    "cannot split {} vertices into {parts} parts",
+                    meta.num_vertices
+                )));
+            }
+            let mut report = job.run_compressed_file(hpz_path)?;
+            // The original edge-major file (when we have one) back-fills
+            // the cut metrics; a bare .hpz leaves quality deferred.
+            if !input_is_compressed {
+                attach_streamed_quality(&mut report, input, is_hgr)?;
+            }
+            let header = format!(
+                "hypergraph       : {} (|V|={}, |E|={}, pins={})\n\
+                 memory budget    : {budget}\n\
+                 stream           : compressed CSR, {} block(s), prefetch {}\n\
+                 block cache      : {} hit(s), {} miss(es)",
+                input.display(),
+                meta.num_vertices,
+                meta.num_nets,
+                meta.num_pins,
+                meta.num_blocks,
+                if args.no_prefetch { "off" } else { "on" },
+                metrics.counter("storage.cache.hits").get(),
+                metrics.counter("storage.cache.misses").get(),
+            );
+            return Ok((report, header));
+        }
+        let mut stream = if is_hgr {
+            stream_hgr_file(input, &options)?
+        } else {
+            stream_edgelist_file(input, &options)?
+        };
+        let mut report = job.run_stream(&mut stream)?;
+        attach_streamed_quality(&mut report, input, is_hgr)?;
+        let header = format!(
+            "hypergraph       : {} (|V|={}, |E|={}, pins={})\n\
+             memory budget    : {budget}\n\
+             transpose peak   : {} B",
+            input.display(),
+            stream.num_vertices(),
+            stream.num_nets(),
+            stream.num_pins(),
+            stream.peak_loaded_bytes()
+        );
+        Ok((report, header))
+    })
 }
 
 /// Executes a parsed invocation.
 pub fn execute(cli: &Cli) -> Result<(), CommandError> {
     match &cli.command {
-        Command::Stats { input } => {
-            let hg = load_hypergraph(input)?;
+        Command::Stats(a) => {
+            let hg = load_hypergraph(&a.input)?;
             let stats = HypergraphStats::compute(&hg);
             println!("{}", HypergraphStats::csv_header());
             println!("{}", stats.csv_row());
             println!("\n{stats}");
             Ok(())
         }
-        Command::Serve {
-            bind,
-            stdio,
-            state_dir,
-            max_line_bytes,
-            read_timeout_secs,
-            snapshot_every,
-            metrics_addr,
-        } => crate::serve::serve(&crate::serve::ServeOptions {
-            bind: bind.clone(),
-            stdio: *stdio,
-            state_dir: state_dir.clone(),
-            max_line_bytes: *max_line_bytes,
-            read_timeout_secs: *read_timeout_secs,
-            snapshot_every: *snapshot_every,
-            metrics_addr: metrics_addr.clone(),
-        }),
-        Command::Partition {
-            input,
-            parts,
-            algorithm,
-            machine,
-            imbalance,
-            threads,
-            parallel_mode,
-            seed,
-            output,
-            json,
-            json_out,
-            metrics_out,
-        } => {
-            let hg = load_hypergraph(input)?;
-            if *parts < 2 {
-                return Err(CommandError::Invalid("--parts must be at least 2".into()));
-            }
-            let (_, cost) = profile(*machine, *parts as usize, *seed);
-            let metrics = telemetry::Registry::new();
-            let mut job = PartitionJob::new(*algorithm)
-                .partitions(*parts)
-                .cost(cost)
-                .seed(*seed)
-                .imbalance_tolerance(*imbalance)
-                .parallel_mode(*parallel_mode)
-                .registry(&metrics);
-            if let Some(t) = threads {
-                if !algorithm.supports_threads() {
-                    return Err(CommandError::Invalid(format!(
-                        "--threads does not apply to {}; pick a parallel or lowmem algorithm",
-                        algorithm.name()
-                    )));
-                }
-                job = job.threads(*t);
-            }
-            let report = job.run(&hg)?;
-            emit_report(
-                &report,
-                &format!("hypergraph       : {hg}"),
-                *json,
-                json_out.as_deref(),
-                output.as_deref(),
-            )?;
-            write_metrics(metrics_out.as_deref(), &metrics, *json)
+        Command::Serve(options) => crate::serve::serve(options),
+        Command::Partition(a) => {
+            let hg = load_hypergraph(&a.job.input)?;
+            let job = PartitionJob::new(a.algorithm).imbalance_tolerance(a.imbalance);
+            run_job(&a.job, job, |job, _| {
+                Ok((job.run(&hg)?, format!("hypergraph       : {hg}")))
+            })
         }
-        Command::LowMem {
-            input,
-            parts,
-            budget_mib,
-            exact,
-            restream,
-            passes,
-            rebuild_sketches,
-            threads,
-            parallel_mode,
-            machine,
-            seed,
-            output,
-            json,
-            json_out,
-            format,
-            no_prefetch,
-            metrics_out,
-        } => {
-            if *parts < 2 {
-                return Err(CommandError::Invalid("--parts must be at least 2".into()));
-            }
-            if *rebuild_sketches && *exact {
-                return Err(CommandError::Invalid(
-                    "--rebuild-sketches only applies to the sketched index; drop --exact".into(),
-                ));
-            }
-            let input_is_compressed = storage::is_compressed_file(input);
-            let use_compressed = match format {
-                StreamFormat::Transpose => {
-                    if input_is_compressed {
-                        return Err(CommandError::Invalid(
-                            "input is a compressed .hpz file; drop --format transpose".into(),
-                        ));
-                    }
-                    false
-                }
-                StreamFormat::Compressed => true,
-                StreamFormat::Auto => input_is_compressed,
-            };
-            let ext = input
-                .extension()
-                .and_then(|e| e.to_str())
-                .unwrap_or("")
-                .to_ascii_lowercase();
-            if ext == "mtx" && !input_is_compressed {
+        Command::LowMem(args) => lowmem(args),
+        Command::Convert(a) => {
+            if extension(&a.input) == "mtx" {
                 return Err(CommandError::Invalid(
                     "MatrixMarket files are not streamable; convert to .hgr first".into(),
                 ));
             }
-            let algorithm = if *exact {
-                Algorithm::LowMemExact
-            } else {
-                Algorithm::LowMemSketched
-            };
-            let budget = MemoryBudget::mebibytes((*budget_mib).max(1));
-            let (_, cost) = profile(*machine, *parts as usize, *seed);
-            let metrics = telemetry::Registry::new();
-            let job = PartitionJob::new(algorithm)
-                .partitions(*parts)
-                .cost(cost)
-                .memory_budget(budget)
-                .restream_capacity(*restream)
-                .passes(*passes)
-                .rebuild_sketches(*rebuild_sketches)
-                .threads(*threads)
-                .parallel_mode(*parallel_mode)
-                .seed(*seed)
-                .prefetch(!*no_prefetch)
-                .registry(&metrics);
-            job.validate()?;
-            let options = StreamOptions {
-                buffer_bytes: budget.plan(*parts as usize, 0).transpose_buffer_bytes,
-                spill_dir: None,
-            };
-            let is_hgr = ext == "hgr" && !input_is_compressed;
-            if is_hgr {
-                // The header carries the vertex count; reject an oversized
-                // --parts before paying for the on-disk transpose.
-                let header = read_hgr_header(input)?;
-                if (*parts as usize) > header.num_vertices {
-                    return Err(CommandError::Invalid(format!(
-                        "cannot split {} vertices into {parts} parts",
-                        header.num_vertices
-                    )));
-                }
-            }
-            if use_compressed {
-                // Run over the block-compressed CSR, converting first when
-                // the input is still an .hgr / edge list. The temporary
-                // .hpz is removed when `temp_hpz` drops, on every path.
-                let temp_hpz = if input_is_compressed {
-                    None
-                } else {
-                    Some(convert_to_temp_hpz(input, &std::env::temp_dir(), &options)?)
-                };
-                let hpz_path = temp_hpz.as_ref().map_or(input.as_path(), TempFile::path);
-                let reader = storage::CompressedReader::open_file(hpz_path)
-                    .map_err(|e| CommandError::Io(e.to_string()))?;
-                let meta = *reader.meta();
-                if (*parts as u64) > meta.num_vertices {
-                    return Err(CommandError::Invalid(format!(
-                        "cannot split {} vertices into {parts} parts",
-                        meta.num_vertices
-                    )));
-                }
-                let mut report = job.run_compressed_file(hpz_path)?;
-                // The original edge-major file (when we have one) back-fills
-                // the cut metrics; a bare .hpz leaves quality deferred.
-                if !input_is_compressed {
-                    let streamed = if is_hgr {
-                        quality::evaluate_hgr_file(input, &report.partition)?
-                    } else {
-                        quality::evaluate_edgelist_file(input, &report.partition)?
-                    };
-                    report.attach_streamed_quality(&streamed);
-                }
-                emit_report(
-                    &report,
-                    &format!(
-                        "hypergraph       : {} (|V|={}, |E|={}, pins={})\n\
-                         memory budget    : {budget}\n\
-                         stream           : compressed CSR, {} block(s), prefetch {}\n\
-                         block cache      : {} hit(s), {} miss(es)",
-                        input.display(),
-                        meta.num_vertices,
-                        meta.num_nets,
-                        meta.num_pins,
-                        meta.num_blocks,
-                        if *no_prefetch { "off" } else { "on" },
-                        metrics.counter("storage.cache.hits").get(),
-                        metrics.counter("storage.cache.misses").get(),
-                    ),
-                    *json,
-                    json_out.as_deref(),
-                    output.as_deref(),
-                )?;
-                return write_metrics(metrics_out.as_deref(), &metrics, *json);
-            }
-            let mut stream = if is_hgr {
-                stream_hgr_file(input, &options)?
-            } else {
-                stream_edgelist_file(input, &options)?
-            };
-            let mut report = job.run_stream(&mut stream)?;
-            let streamed = if is_hgr {
-                quality::evaluate_hgr_file(input, &report.partition)?
-            } else {
-                quality::evaluate_edgelist_file(input, &report.partition)?
-            };
-            report.attach_streamed_quality(&streamed);
-            emit_report(
-                &report,
-                &format!(
-                    "hypergraph       : {} (|V|={}, |E|={}, pins={})\n\
-                     memory budget    : {budget}\n\
-                     transpose peak   : {} B",
-                    input.display(),
-                    stream.num_vertices(),
-                    stream.num_nets(),
-                    stream.num_pins(),
-                    stream.peak_loaded_bytes()
-                ),
-                *json,
-                json_out.as_deref(),
-                output.as_deref(),
-            )?;
-            write_metrics(metrics_out.as_deref(), &metrics, *json)
-        }
-        Command::Convert {
-            input,
-            output,
-            block_bytes,
-        } => {
-            let ext = input
-                .extension()
-                .and_then(|e| e.to_str())
-                .unwrap_or("")
-                .to_ascii_lowercase();
-            if ext == "mtx" {
-                return Err(CommandError::Invalid(
-                    "MatrixMarket files are not streamable; convert to .hgr first".into(),
-                ));
-            }
-            if storage::is_compressed_file(input) {
+            if storage::is_compressed_file(&a.input) {
                 return Err(CommandError::Invalid(
                     "input is already in the compressed format".into(),
                 ));
             }
-            let meta =
-                storage::convert_file(input, output, *block_bytes, &StreamOptions::default())?;
-            let in_bytes = fs::metadata(input)?.len();
-            let out_bytes = fs::metadata(output)?.len();
+            let meta = storage::convert_file(
+                &a.input,
+                &a.output,
+                a.block_bytes,
+                &StreamOptions::default(),
+            )?;
+            let in_bytes = fs::metadata(&a.input)?.len();
+            let out_bytes = fs::metadata(&a.output)?.len();
             println!(
                 "converted {} -> {}\n\
                  |V|={}, |E|={}, pins={}, {} block(s) of ~{} B\n\
                  {} B -> {} B ({:.2}x)",
-                input.display(),
-                output.display(),
+                a.input.display(),
+                a.output.display(),
                 meta.num_vertices,
                 meta.num_nets,
                 meta.num_pins,
@@ -532,43 +457,34 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
             );
             Ok(())
         }
-        Command::Generate {
-            output,
-            vertices,
-            cardinality,
-            seed,
-        } => {
-            if *vertices == 0 || *cardinality == 0 {
+        Command::Generate(a) => {
+            if a.vertices == 0 || a.cardinality == 0 {
                 return Err(CommandError::Invalid(
                     "--vertices and --cardinality must be positive".into(),
                 ));
             }
-            let mut config = MeshConfig::new(*vertices, *cardinality);
-            config.seed = *seed;
+            let mut config = MeshConfig::new(a.vertices, a.cardinality);
+            config.seed = a.seed;
             let hg = mesh_hypergraph(&config);
-            hmetis::write_hgr_file(&hg, output)?;
+            hmetis::write_hgr_file(&hg, &a.output)?;
             println!(
                 "wrote {} (|V|={}, |E|={}, pins={})",
-                output.display(),
+                a.output.display(),
                 hg.num_vertices(),
                 hg.num_hyperedges(),
                 hg.num_pins()
             );
             Ok(())
         }
-        Command::Profile {
-            machine,
-            procs,
-            output,
-        } => {
-            if *procs < 2 {
+        Command::Profile(a) => {
+            if a.procs < 2 {
                 return Err(CommandError::Invalid(
                     "profiling needs at least two compute units".into(),
                 ));
             }
-            let (link, cost) = profile(*machine, *procs, 2019);
+            let (link, cost) = profile(a.machine, a.procs, 2019);
             let csv = link.bandwidth().to_csv();
-            match output {
+            match &a.output {
                 Some(path) => {
                     fs::write(path, &csv)?;
                     println!("wrote {}", path.display());
@@ -577,7 +493,7 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
             }
             println!(
                 "# {} units, bandwidth {:.0}..{:.0} MB/s, cost {:.2}..{:.2}",
-                procs,
+                a.procs,
                 link.bandwidth().min_off_diagonal(),
                 link.bandwidth().max_off_diagonal(),
                 cost.min_off_diagonal(),
@@ -586,7 +502,7 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
             // Cost centrality: the precomputed row sums bound what each
             // unit pays to reach every peer — the spread flags poorly
             // connected units worth keeping off chatty partitions.
-            let sums: Vec<f64> = (0..*procs).map(|i| cost.row_sum(i)).collect();
+            let sums: Vec<f64> = (0..a.procs).map(|i| cost.row_sum(i)).collect();
             let most = sums.iter().cloned().fold(f64::INFINITY, f64::min);
             let least = sums.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             println!(
@@ -594,27 +510,21 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
             );
             Ok(())
         }
-        Command::Benchmark {
-            input,
-            assignment,
-            machine,
-            message_bytes,
-            supersteps,
-        } => {
-            let hg = load_hypergraph(input)?;
-            let partition = read_assignment(assignment, hg.num_vertices())?;
+        Command::Benchmark(a) => {
+            let hg = load_hypergraph(&a.input)?;
+            let partition = read_assignment(&a.assignment, hg.num_vertices())?;
             let procs = partition.num_parts() as usize;
             if procs < 2 {
                 return Err(CommandError::Invalid(
                     "the assignment uses a single partition; nothing to benchmark".into(),
                 ));
             }
-            let (link, cost) = profile(*machine, procs, 2019);
+            let (link, cost) = profile(a.machine, procs, 2019);
             let bench = SyntheticBenchmark::new(
                 link,
                 BenchmarkConfig {
-                    message_bytes: *message_bytes,
-                    supersteps: *supersteps,
+                    message_bytes: a.message_bytes,
+                    supersteps: a.supersteps,
                     ..BenchmarkConfig::default()
                 },
             );
@@ -634,6 +544,7 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::{BenchmarkArgs, ConvertArgs, PartitionArgs, ProfileArgs, StatsArgs};
     use hyperpraw::core::{HyperPraw, HyperPrawConfig, ParallelMode};
     use hyperpraw::hypergraph::HypergraphBuilder;
 
@@ -674,48 +585,56 @@ mod tests {
         }
     }
 
-    /// Builder for `Command::Partition` literals in tests.
-    struct PartitionArgs {
-        input: std::path::PathBuf,
-        parts: u32,
-        algorithm: Algorithm,
-        threads: Option<usize>,
-        parallel_mode: ParallelMode,
-        seed: u64,
-        output: Option<std::path::PathBuf>,
-        json_out: Option<std::path::PathBuf>,
+    /// The shared arguments of the command tests: the flat machine, the
+    /// driver's default threads, and no output files.
+    fn job(input: PathBuf, parts: u32, seed: u64) -> JobArgs {
+        JobArgs {
+            input,
+            parts,
+            machine: MachinePreset::Flat,
+            threads: None,
+            parallel_mode: ParallelMode::Bsp,
+            seed,
+            output: None,
+            json: false,
+            json_out: None,
+            metrics_out: None,
+        }
     }
 
-    impl PartitionArgs {
-        fn new(input: std::path::PathBuf, parts: u32) -> Self {
-            Self {
-                input,
-                parts,
+    /// `partition` with basic HyperPRAW at tolerance 1.2.
+    fn partition(job: JobArgs) -> Cli {
+        Cli {
+            command: Command::Partition(PartitionArgs {
+                job,
                 algorithm: Algorithm::HyperPrawBasic,
-                threads: None,
-                parallel_mode: ParallelMode::Bsp,
-                seed: 1,
-                output: None,
-                json_out: None,
-            }
-        }
-
-        fn command(self) -> Command {
-            Command::Partition {
-                input: self.input,
-                parts: self.parts,
-                algorithm: self.algorithm,
-                machine: MachinePreset::Flat,
                 imbalance: 1.2,
-                threads: self.threads,
-                parallel_mode: self.parallel_mode,
-                seed: self.seed,
-                output: self.output,
-                json: false,
-                json_out: self.json_out,
-                metrics_out: None,
-            }
+            }),
         }
+    }
+
+    /// `lowmem` on one thread under a 1 MiB budget, otherwise at the
+    /// command-line defaults.
+    fn lowmem(input: PathBuf, parts: u32, seed: u64) -> LowMemArgs {
+        LowMemArgs {
+            job: JobArgs {
+                threads: Some(1),
+                ..job(input, parts, seed)
+            },
+            budget_mib: 1,
+            exact: false,
+            restream: None,
+            passes: 1,
+            rebuild_sketches: false,
+            format: StreamFormat::Auto,
+            no_prefetch: false,
+        }
+    }
+
+    fn run(args: LowMemArgs) -> Result<(), CommandError> {
+        execute(&Cli {
+            command: Command::LowMem(args),
+        })
     }
 
     #[test]
@@ -752,14 +671,11 @@ mod tests {
         let dir = TempDir::new("partition_command_writes_an_assignment_file");
         let input = dir.sample_hgr();
         let output = dir.path("out_assignment.txt");
-        let cli = Cli {
-            command: PartitionArgs {
-                output: Some(output.clone()),
-                ..PartitionArgs::new(input.clone(), 2)
-            }
-            .command(),
-        };
-        execute(&cli).unwrap();
+        execute(&partition(JobArgs {
+            output: Some(output.clone()),
+            ..job(input.clone(), 2, 1)
+        }))
+        .unwrap();
         let hg = load_hypergraph(&input).unwrap();
         let part = read_assignment(&output, hg.num_vertices()).unwrap();
         assert!(part.num_parts() <= 2);
@@ -771,11 +687,11 @@ mod tests {
         let input = dir.sample_hgr();
         for algorithm in Algorithm::all() {
             execute(&Cli {
-                command: PartitionArgs {
+                command: Command::Partition(PartitionArgs {
+                    job: job(input.clone(), 2, 1),
                     algorithm,
-                    ..PartitionArgs::new(input.clone(), 2)
-                }
-                .command(),
+                    imbalance: 1.2,
+                }),
             })
             .unwrap_or_else(|e| panic!("{}: {e}", algorithm.name()));
         }
@@ -786,13 +702,10 @@ mod tests {
         let dir = TempDir::new("json_out_writes_a_partition_report");
         let input = dir.sample_hgr();
         let json_out = dir.path("report.json");
-        execute(&Cli {
-            command: PartitionArgs {
-                json_out: Some(json_out.clone()),
-                ..PartitionArgs::new(input.clone(), 2)
-            }
-            .command(),
-        })
+        execute(&partition(JobArgs {
+            json_out: Some(json_out.clone()),
+            ..job(input.clone(), 2, 1)
+        }))
         .unwrap();
         let json = fs::read_to_string(&json_out).unwrap();
         assert!(json.contains("\"algorithm\": \"hyperpraw-basic\""));
@@ -808,14 +721,10 @@ mod tests {
         let dir = TempDir::new("partition_command_matches_the_direct_driver");
         let input = dir.sample_hgr();
         let output = dir.path("direct.txt");
-        execute(&Cli {
-            command: PartitionArgs {
-                seed: 3,
-                output: Some(output.clone()),
-                ..PartitionArgs::new(input.clone(), 2)
-            }
-            .command(),
-        })
+        execute(&partition(JobArgs {
+            output: Some(output.clone()),
+            ..job(input.clone(), 2, 3)
+        }))
         .unwrap();
         let hg = load_hypergraph(&input).unwrap();
         let direct = HyperPraw::basic(
@@ -829,83 +738,19 @@ mod tests {
         assert_eq!(written.assignment(), direct.partition.assignment());
     }
 
-    /// Builder for `Command::LowMem` literals in tests (enum variants do
-    /// not support functional record update).
-    struct LowMemArgs {
-        input: std::path::PathBuf,
-        parts: u32,
-        exact: bool,
-        restream: Option<usize>,
-        passes: usize,
-        rebuild_sketches: bool,
-        threads: usize,
-        parallel_mode: ParallelMode,
-        seed: u64,
-        output: Option<std::path::PathBuf>,
-        json_out: Option<std::path::PathBuf>,
-        format: StreamFormat,
-        no_prefetch: bool,
-    }
-
-    impl LowMemArgs {
-        fn new(input: std::path::PathBuf, parts: u32) -> Self {
-            Self {
-                input,
-                parts,
-                exact: false,
-                restream: None,
-                passes: 1,
-                rebuild_sketches: false,
-                threads: 1,
-                parallel_mode: ParallelMode::Bsp,
-                seed: 0,
-                output: None,
-                json_out: None,
-                format: StreamFormat::Auto,
-                no_prefetch: false,
-            }
-        }
-
-        fn command(self) -> Command {
-            Command::LowMem {
-                input: self.input,
-                parts: self.parts,
-                budget_mib: 1,
-                exact: self.exact,
-                restream: self.restream,
-                passes: self.passes,
-                rebuild_sketches: self.rebuild_sketches,
-                threads: self.threads,
-                parallel_mode: self.parallel_mode,
-                machine: MachinePreset::Flat,
-                seed: self.seed,
-                output: self.output,
-                json: false,
-                json_out: self.json_out,
-                format: self.format,
-                no_prefetch: self.no_prefetch,
-                metrics_out: None,
-            }
-        }
-    }
-
     #[test]
     fn lowmem_command_partitions_in_one_pass_and_writes_an_assignment() {
         let dir = TempDir::new("lowmem_command_partitions_in_one_pass_and_writes_an_assignment");
         let input = dir.sample_hgr();
         let output = dir.path("lowmem_assignment.txt");
         for exact in [false, true] {
-            execute(&Cli {
-                command: LowMemArgs {
-                    exact,
-                    restream: Some(4),
-                    seed: 1,
-                    output: Some(output.clone()),
-                    ..LowMemArgs::new(input.clone(), 2)
-                }
-                .command(),
-            })
-            .unwrap();
+            let mut args = LowMemArgs {
+                exact,
+                restream: Some(4),
+                ..lowmem(input.clone(), 2, 1)
+            };
+            args.job.output = Some(output.clone());
+            run(args).unwrap();
             let hg = load_hypergraph(&input).unwrap();
             let part = read_assignment(&output, hg.num_vertices()).unwrap();
             assert!(part.num_parts() <= 2);
@@ -920,11 +765,11 @@ mod tests {
         let input = dir.sample_hgr();
         let hpz = dir.path("sample.hpz");
         execute(&Cli {
-            command: Command::Convert {
+            command: Command::Convert(ConvertArgs {
                 input: input.clone(),
                 output: hpz.clone(),
                 block_bytes: 128,
-            },
+            }),
         })
         .unwrap();
         assert!(storage::is_compressed_file(&hpz));
@@ -932,38 +777,28 @@ mod tests {
         let from_transpose = dir.path("assignment_transpose.txt");
         let from_compressed = dir.path("assignment_compressed.txt");
         let from_hpz = dir.path("assignment_hpz.txt");
+        let writing_to = |input: &Path, output: &Path| {
+            let mut args = lowmem(input.to_path_buf(), 2, 5);
+            args.job.output = Some(output.to_path_buf());
+            args
+        };
         // Uncompressed baseline.
-        execute(&Cli {
-            command: LowMemArgs {
-                seed: 5,
-                output: Some(from_transpose.clone()),
-                format: StreamFormat::Transpose,
-                ..LowMemArgs::new(input.clone(), 2)
-            }
-            .command(),
+        run(LowMemArgs {
+            format: StreamFormat::Transpose,
+            ..writing_to(&input, &from_transpose)
         })
         .unwrap();
         // Same .hgr forced through the compressed reader (converted to a
         // temporary .hpz internally).
-        execute(&Cli {
-            command: LowMemArgs {
-                seed: 5,
-                output: Some(from_compressed.clone()),
-                format: StreamFormat::Compressed,
-                ..LowMemArgs::new(input.clone(), 2)
-            }
-            .command(),
+        run(LowMemArgs {
+            format: StreamFormat::Compressed,
+            ..writing_to(&input, &from_compressed)
         })
         .unwrap();
         // The pre-converted .hpz picked up by the auto sniff, prefetch off.
-        execute(&Cli {
-            command: LowMemArgs {
-                seed: 5,
-                output: Some(from_hpz.clone()),
-                no_prefetch: true,
-                ..LowMemArgs::new(hpz.clone(), 2)
-            }
-            .command(),
+        run(LowMemArgs {
+            no_prefetch: true,
+            ..writing_to(&hpz, &from_hpz)
         })
         .unwrap();
 
@@ -1007,19 +842,15 @@ mod tests {
         let input = dir.sample_hgr();
         let output = dir.path("lowmem_bsp_assignment.txt");
         let json_out = dir.path("lowmem_bsp_report.json");
-        execute(&Cli {
-            command: LowMemArgs {
-                passes: 2,
-                rebuild_sketches: true,
-                threads: 3,
-                seed: 7,
-                output: Some(output.clone()),
-                json_out: Some(json_out.clone()),
-                ..LowMemArgs::new(input.clone(), 2)
-            }
-            .command(),
-        })
-        .unwrap();
+        let mut args = LowMemArgs {
+            passes: 2,
+            rebuild_sketches: true,
+            ..lowmem(input.clone(), 2, 7)
+        };
+        args.job.threads = Some(3);
+        args.job.output = Some(output.clone());
+        args.job.json_out = Some(json_out.clone());
+        run(args).unwrap();
         let hg = load_hypergraph(&input).unwrap();
         let part = read_assignment(&output, hg.num_vertices()).unwrap();
         assert!(part.num_parts() <= 2);
@@ -1033,26 +864,17 @@ mod tests {
     #[test]
     fn lowmem_command_rejects_mtx_too_many_parts_and_exact_rebuilds() {
         let dir = TempDir::new("lowmem_command_rejects_mtx_too_many_parts_and_exact_rebuilds");
-        let err = execute(&Cli {
-            command: LowMemArgs::new(std::path::PathBuf::from("matrix.mtx"), 4).command(),
-        })
-        .unwrap_err();
+        let err = run(lowmem(PathBuf::from("matrix.mtx"), 4, 0)).unwrap_err();
         assert!(err.to_string().contains("not streamable"));
 
         let input = dir.sample_hgr();
-        let err = execute(&Cli {
-            command: LowMemArgs::new(input.clone(), 1000).command(),
-        })
-        .unwrap_err();
+        let err = run(lowmem(input.clone(), 1000, 0)).unwrap_err();
         assert!(err.to_string().contains("cannot split"));
 
-        let err = execute(&Cli {
-            command: LowMemArgs {
-                exact: true,
-                rebuild_sketches: true,
-                ..LowMemArgs::new(input.clone(), 2)
-            }
-            .command(),
+        let err = run(LowMemArgs {
+            exact: true,
+            rebuild_sketches: true,
+            ..lowmem(input.clone(), 2, 0)
         })
         .unwrap_err();
         assert!(err.to_string().contains("rebuild-sketches"));
@@ -1064,12 +886,9 @@ mod tests {
         let input = dir.sample_hgr();
         // Zero lowmem passes reach the job API and come back as
         // InvalidConfig, not a panic or an infinite loop.
-        let err = execute(&Cli {
-            command: LowMemArgs {
-                passes: 0,
-                ..LowMemArgs::new(input.clone(), 2)
-            }
-            .command(),
+        let err = run(LowMemArgs {
+            passes: 0,
+            ..lowmem(input.clone(), 2, 0)
         })
         .unwrap_err();
         assert!(err.to_string().contains("streaming pass"));
@@ -1082,15 +901,10 @@ mod tests {
         // the machine's available parallelism inside the job API.
         let input = dir.sample_hgr();
         let output = dir.path("lowmem_auto_threads.txt");
-        execute(&Cli {
-            command: LowMemArgs {
-                threads: 0,
-                output: Some(output.clone()),
-                ..LowMemArgs::new(input.clone(), 2)
-            }
-            .command(),
-        })
-        .unwrap();
+        let mut args = lowmem(input.clone(), 2, 0);
+        args.job.threads = Some(0);
+        args.job.output = Some(output.clone());
+        run(args).unwrap();
         let hg = load_hypergraph(&input).unwrap();
         let part = read_assignment(&output, hg.num_vertices()).unwrap();
         assert!(part.num_parts() <= 2);
@@ -1102,14 +916,16 @@ mod tests {
         let input = dir.sample_hgr();
         let json_out = dir.path("steal_report.json");
         execute(&Cli {
-            command: PartitionArgs {
+            command: Command::Partition(PartitionArgs {
+                job: JobArgs {
+                    threads: Some(4),
+                    parallel_mode: ParallelMode::WorkStealing,
+                    json_out: Some(json_out.clone()),
+                    ..job(input.clone(), 2, 1)
+                },
                 algorithm: Algorithm::ParallelBasic,
-                threads: Some(4),
-                parallel_mode: ParallelMode::WorkStealing,
-                json_out: Some(json_out.clone()),
-                ..PartitionArgs::new(input.clone(), 2)
-            }
-            .command(),
+                imbalance: 1.2,
+            }),
         })
         .unwrap();
         let json = fs::read_to_string(&json_out).unwrap();
@@ -1123,18 +939,18 @@ mod tests {
         let dir = TempDir::new("stats_and_profile_commands_run");
         let input = dir.sample_hgr();
         execute(&Cli {
-            command: Command::Stats {
+            command: Command::Stats(StatsArgs {
                 input: input.clone(),
-            },
+            }),
         })
         .unwrap();
         let out = dir.path("bw.csv");
         execute(&Cli {
-            command: Command::Profile {
+            command: Command::Profile(ProfileArgs {
                 machine: MachinePreset::Archer,
                 procs: 12,
                 output: Some(out.clone()),
-            },
+            }),
         })
         .unwrap();
         assert!(fs::read_to_string(&out).unwrap().lines().count() == 12);
@@ -1148,13 +964,13 @@ mod tests {
         let assignment = dir.path("bench_assignment.txt");
         write_assignment(&assignment, &Partition::round_robin(hg.num_vertices(), 4)).unwrap();
         execute(&Cli {
-            command: Command::Benchmark {
+            command: Command::Benchmark(BenchmarkArgs {
                 input: input.clone(),
                 assignment: assignment.clone(),
                 machine: MachinePreset::Cluster,
                 message_bytes: 128,
                 supersteps: 2,
-            },
+            }),
         })
         .unwrap();
     }
@@ -1163,25 +979,25 @@ mod tests {
     fn invalid_inputs_produce_errors_not_panics() {
         let dir = TempDir::new("invalid_inputs_produce_errors_not_panics");
         let missing = execute(&Cli {
-            command: Command::Stats {
+            command: Command::Stats(StatsArgs {
                 input: dir.path("does_not_exist.hgr"),
-            },
+            }),
         });
         assert!(missing.is_err());
         let too_many_parts = execute(&Cli {
-            command: PartitionArgs {
+            command: Command::Partition(PartitionArgs {
+                job: job(dir.sample_hgr(), 1000, 1),
                 algorithm: Algorithm::RoundRobin,
-                ..PartitionArgs::new(dir.sample_hgr(), 1000)
-            }
-            .command(),
+                imbalance: 1.2,
+            }),
         });
         assert!(too_many_parts.is_err());
         let bad_profile = execute(&Cli {
-            command: Command::Profile {
+            command: Command::Profile(ProfileArgs {
                 machine: MachinePreset::Flat,
                 procs: 1,
                 output: None,
-            },
+            }),
         });
         assert!(bad_profile.is_err());
     }

@@ -11,11 +11,11 @@
 //! hyperpraw serve      --stdio
 //! ```
 //!
-//! Argument parsing is hand-rolled (no external dependencies) and lives in
-//! [`args`]; the subcommand implementations live in [`commands`]. Every
-//! partitioning invocation dispatches through the facade's unified
-//! [`hyperpraw::api::PartitionJob`] — the CLI carries no per-driver
-//! wiring of its own.
+//! Argument parsing lives in [`args`]: one declarative flag table per
+//! subcommand, read by both the generic parser and `--help`, with no
+//! external dependency. The subcommand implementations live in
+//! [`commands`]. Every partitioning invocation dispatches through the
+//! facade's unified [`hyperpraw::api::PartitionJob`] — no per-driver wiring.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

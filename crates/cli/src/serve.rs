@@ -120,7 +120,7 @@ const SERVE_WORKERS: usize = 4;
 const IDLE_TIMEOUT_STRIKES: u32 = 4;
 
 /// How the daemon runs: transport, durability and robustness knobs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServeOptions {
     /// TCP address to listen on (ignored with `stdio`).
     pub bind: String,
@@ -1025,7 +1025,7 @@ fn start_session(request: &JsonValue, state: &mut ServeState) -> Result<(), Stri
         let preset = machine
             .as_str()
             .ok_or("'machine' must be a string")
-            .and_then(|s| MachinePreset::parse(s).map_err(|_| "unknown 'machine' preset"))?;
+            .and_then(|s| MachinePreset::parse(s).ok_or("unknown 'machine' preset"))?;
         let (_, cost) = profile(preset, parts as usize, seed);
         job = job.cost(cost);
     }

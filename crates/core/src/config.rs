@@ -144,6 +144,12 @@ impl HyperPrawConfig {
                 self.tempering_factor
             ));
         }
+        if !self.imbalance_tolerance.is_finite() {
+            return Err(format!(
+                "imbalance tolerance must be finite (got {})",
+                self.imbalance_tolerance
+            ));
+        }
         if self.imbalance_tolerance < 1.0 {
             return Err("imbalance tolerance below 1.0 is unsatisfiable".into());
         }
@@ -233,6 +239,17 @@ mod tests {
         assert!(c.validate().is_err());
         c.initial_alpha = None;
         assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn non_finite_imbalance_tolerances_fail_validation() {
+        for tol in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.99] {
+            let c = HyperPrawConfig {
+                imbalance_tolerance: tol,
+                ..HyperPrawConfig::default()
+            };
+            assert!(c.validate().is_err(), "{tol}");
+        }
     }
 
     #[test]

@@ -74,6 +74,12 @@ impl MultilevelConfig {
     /// Validates parameter ranges, returning a description of the first
     /// problem found.
     pub fn validate(&self) -> Result<(), String> {
+        if !self.imbalance_tolerance.is_finite() {
+            return Err(format!(
+                "imbalance tolerance must be finite (got {})",
+                self.imbalance_tolerance
+            ));
+        }
         if self.imbalance_tolerance < 1.0 {
             return Err("imbalance tolerance below 1.0 is unsatisfiable".into());
         }
@@ -136,5 +142,16 @@ mod tests {
         };
         assert!(c.validate().is_err());
         assert_eq!(MultilevelConfig::default().with_threads(4).threads, 4);
+    }
+
+    #[test]
+    fn non_finite_imbalance_tolerances_fail_validation() {
+        for tol in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.99] {
+            let c = MultilevelConfig {
+                imbalance_tolerance: tol,
+                ..MultilevelConfig::default()
+            };
+            assert!(c.validate().is_err(), "{tol}");
+        }
     }
 }

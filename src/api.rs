@@ -112,7 +112,7 @@ impl Algorithm {
 
     /// The accepted `parse` spellings, for error messages and CLI usage
     /// text — one definition so the two cannot drift apart.
-    pub fn expected_names() -> &'static str {
+    pub const fn expected_names() -> &'static str {
         "aware | basic | parallel[-basic] | lowmem[-exact] | multilevel | round-robin"
     }
 
@@ -1199,6 +1199,18 @@ mod tests {
                 .run(&hg),
             Err(PartitionError::InvalidConfig(_))
         ));
+        // non-finite imbalance tolerance (f64 parsing accepts NaN and inf)
+        for algorithm in [Algorithm::HyperPrawBasic, Algorithm::MultilevelBaseline] {
+            for tol in [f64::NAN, f64::INFINITY] {
+                assert!(matches!(
+                    PartitionJob::new(algorithm)
+                        .partitions(4)
+                        .imbalance_tolerance(tol)
+                        .validate(),
+                    Err(PartitionError::InvalidConfig(_))
+                ));
+            }
+        }
         // max_iterations = 0
         assert!(matches!(
             PartitionJob::new(Algorithm::HyperPrawBasic)
