@@ -138,9 +138,9 @@ impl HyperPrawConfig {
     /// Validates parameter ranges, returning a description of the first
     /// problem found.
     pub fn validate(&self) -> Result<(), String> {
-        if self.tempering_factor <= 1.0 {
+        if !(self.tempering_factor.is_finite() && self.tempering_factor > 1.0) {
             return Err(format!(
-                "tempering factor must exceed 1.0 (got {}): α must grow while imbalanced",
+                "tempering factor must be finite and exceed 1.0 (got {}): α must grow while imbalanced",
                 self.tempering_factor
             ));
         }
@@ -157,7 +157,7 @@ impl HyperPrawConfig {
             return Err("max_iterations must be at least 1".into());
         }
         if let RefinementPolicy::Factor(f) = self.refinement {
-            if f <= 0.0 || f > 1.5 {
+            if !(f > 0.0 && f <= 1.5) {
                 return Err(format!(
                     "refinement factor {f} out of the sensible range (0, 1.5]"
                 ));
@@ -249,6 +249,20 @@ mod tests {
                 ..HyperPrawConfig::default()
             };
             assert!(c.validate().is_err(), "{tol}");
+        }
+    }
+
+    #[test]
+    fn non_finite_tempering_and_refinement_factors_fail_validation() {
+        for factor in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let tempering = HyperPrawConfig {
+                tempering_factor: factor,
+                ..HyperPrawConfig::default()
+            };
+            assert!(tempering.validate().is_err(), "tempering {factor}");
+            let refinement =
+                HyperPrawConfig::default().with_refinement(RefinementPolicy::Factor(factor));
+            assert!(refinement.validate().is_err(), "refinement {factor}");
         }
     }
 

@@ -32,9 +32,9 @@
 //!                            │    reversible)            │    deterministic)
 //!                            └ lowmem SketchIndex        └ WorkStealing
 //!                                (Bloom + MinHash,           (atomic cursor,
-//!                                 budget-bounded)            live shared
-//!                                                            state, bounded
-//!                                                            staleness, fast)
+//!                                 budget-bounded)            live assignment,
+//!                                                            synced loads,
+//!                                                            fast)
 //! ```
 //!
 //! The three strategies trade information freshness against wall-clock:
@@ -43,11 +43,15 @@
 //! by scoring frozen snapshots and applying at window boundaries;
 //! **WorkStealing** drops the barrier entirely — one thread team per
 //! batch claims fixed-size vertex chunks off a shared atomic cursor
-//! ([`hyperpraw_hypergraph::ChunkCursor`]) and scores against *live*
-//! shared state (the assignment as an atomic slice, per-part loads as
-//! fixed-point atomics), accepting bounded staleness in exchange for
-//! near-linear scaling. Both parallel strategies degenerate to the exact
-//! sequential placement loop at one worker.
+//! ([`hyperpraw_hypergraph::ChunkCursor`]) and scores against shared state
+//! at two freshness levels: peers' placements are visible per vertex
+//! through the atomic assignment, and peers' loads every few placements,
+//! because each worker scores against a local copy of the fixed-point load
+//! counters and syncs it (publishing its own deltas, taking in its peers')
+//! every 8 placements and at chunk ends. It accepts that bounded staleness
+//! in exchange for scaling without per-vertex traffic on shared cache
+//! lines. Both parallel strategies degenerate to the exact sequential
+//! placement loop at one worker.
 //!
 //! Every combination is valid: [`crate::HyperPraw`] is
 //! `InMemorySource × AdjProvider` under `Sequential` by default and under
@@ -73,19 +77,22 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicI64, AtomicU32, Ordering as AtomicOrdering};
+use std::sync::Mutex;
 use std::thread;
 
 use hyperpraw_hypergraph::io::stream::VertexRecord;
 use hyperpraw_hypergraph::io::IoResult;
+use hyperpraw_hypergraph::traversal::NeighborScratch;
 use hyperpraw_hypergraph::{
-    AssignmentRef, ChunkCursor, HyperedgeId, Hypergraph, NeighborAdjacency, Partition, VertexId,
+    run_on_workers, AssignmentRef, ChunkCursor, HyperedgeId, Hypergraph, NeighborAdjacency,
+    Partition, VertexId,
 };
 use hyperpraw_telemetry::{Counter, Gauge, Histogram, Registry};
 use hyperpraw_topology::CostMatrix;
 
 use crate::history::{IterationRecord, PartitionHistory, StreamPhase};
-use crate::metrics::{partitioning_communication_cost, partitioning_communication_cost_with};
-use crate::value::{best_partition_in, ScoredPartition, ValueScratch};
+use crate::metrics::vertex_comm_cost;
+use crate::value::{balance_term, best_partition_in, ScoredPartition, ValueScratch};
 use crate::{HyperPrawConfig, RefinementPolicy};
 
 mod provider;
@@ -141,18 +148,25 @@ pub enum ExecutionStrategy {
     },
     /// Lock-free work-stealing streaming: one thread team per batch claims
     /// fixed-size vertex chunks off a shared atomic cursor and scores
-    /// against *live* shared state — the assignment as an `AtomicU32`
-    /// slice, per-part loads as fixed-point `AtomicI64` counters — with
-    /// bounded staleness instead of full synchronisation windows. Fast and
-    /// valid at any thread count, but (unlike [`ExecutionStrategy::Chunked`])
-    /// not bit-reproducible across runs for more than one worker; a single
-    /// worker degenerates to [`ExecutionStrategy::Sequential`] exactly.
+    /// against shared state with bounded staleness instead of full
+    /// synchronisation windows. The assignment is an `AtomicU32` slice
+    /// that every placement updates, so peers' placements are visible per
+    /// vertex. The per-part loads are fixed-point `AtomicI64` counters
+    /// that a worker copies locally and syncs with (one `fetch_add` per
+    /// touched part, then a re-read) every 8 placements and at chunk ends,
+    /// so peers' loads are visible within a few placements.
+    /// Fast and valid at any thread count, but (unlike
+    /// [`ExecutionStrategy::Chunked`]) not bit-reproducible across runs
+    /// for more than one worker; a single worker degenerates to
+    /// [`ExecutionStrategy::Sequential`] exactly.
     WorkStealing {
         /// Number of worker threads.
         num_threads: usize,
-        /// Vertices per claimed chunk — the staleness granularity of the
-        /// *provider* state (the atomic assignment and load views are
-        /// updated per vertex). [`DEFAULT_STEAL_CHUNK`] suits most runs.
+        /// Vertices per claimed chunk — the scheduling granularity, and
+        /// for index-backed providers nothing finer than the batch is
+        /// fresh. The assignment is shared per vertex and the loads every
+        /// 8 placements whatever the chunk. [`DEFAULT_STEAL_CHUNK`] suits
+        /// most runs.
         chunk: usize,
     },
 }
@@ -162,6 +176,14 @@ pub enum ExecutionStrategy {
 /// self-balance across heterogeneous vertex degrees, large enough that the
 /// claim `fetch_add` never shows up in a profile.
 pub const DEFAULT_STEAL_CHUNK: usize = 64;
+
+/// Placements a [`ExecutionStrategy::WorkStealing`] worker makes between
+/// syncs with the shared load counters (publishing its own deltas, taking
+/// in its peers'). Syncing once per chunk instead let peers' loads go stale
+/// for up to a whole chunk, and on small instances a third of the runs
+/// then stopped refining after a handful of passes; every 8 placements
+/// matched the per-vertex quality at a fraction of the traffic.
+const LOAD_SYNC_VERTICES: usize = 8;
 
 /// How the partition is initialised before the first stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -274,9 +296,9 @@ impl EngineConfig {
 
     /// Validates parameter ranges, returning the first problem found.
     pub fn validate(&self) -> Result<(), String> {
-        if self.tempering_factor <= 1.0 {
+        if !(self.tempering_factor.is_finite() && self.tempering_factor > 1.0) {
             return Err(format!(
-                "tempering factor must exceed 1.0 (got {})",
+                "tempering factor must be finite and exceed 1.0 (got {})",
                 self.tempering_factor
             ));
         }
@@ -287,7 +309,7 @@ impl EngineConfig {
             return Err("max_iterations must be at least 1".into());
         }
         if let RefinementPolicy::Factor(f) = self.refinement {
-            if f <= 0.0 || f > 1.5 {
+            if !(f > 0.0 && f <= 1.5) {
                 return Err(format!("refinement factor {f} out of (0, 1.5]"));
             }
         }
@@ -330,36 +352,102 @@ impl CommCostModel for NoCommCost {
     }
 }
 
-/// Exact evaluation over an in-memory hypergraph
-/// ([`partitioning_communication_cost`]). When a precomputed
-/// [`NeighborAdjacency`] is supplied — the in-memory drivers share the
-/// provider's — every per-pass evaluation scans flat neighbour lists
-/// instead of re-deduplicating each neighbourhood, with bit-identical
-/// results ([`partitioning_communication_cost_with`]).
-#[derive(Clone, Copy, Debug)]
+/// Exact evaluation over an in-memory hypergraph: the partitioning
+/// communication cost of equation 5, bit-identical to
+/// [`partitioning_communication_cost`](crate::metrics::partitioning_communication_cost)
+/// at any thread count.
+///
+/// With [`ExactCommCost::with_threads`] the per-vertex terms `T_{P(v)}(v)`
+/// are computed by up to that many workers over contiguous vertex ranges
+/// into a buffer reused across passes; the engine thread then sums them
+/// serially in vertex order. Each term is a pure function of the vertex
+/// and the partition, and the sum adds the terms from `0.0` in vertex
+/// order exactly as the serial metric does, so the result does not depend
+/// on the thread count. When a precomputed [`NeighborAdjacency`] is supplied — the
+/// in-memory drivers share the provider's — each term scans a flat
+/// neighbour list instead of re-deduplicating the neighbourhood, with
+/// identical integer counts.
+#[derive(Clone, Debug)]
 pub struct ExactCommCost<'a> {
     hg: &'a Hypergraph,
     adj: Option<&'a NeighborAdjacency>,
+    threads: usize,
+    terms: Vec<f64>,
 }
 
 impl<'a> ExactCommCost<'a> {
-    /// Creates a model evaluating against `hg` by neighbourhood traversal.
+    /// Creates a single-threaded model evaluating against `hg` by
+    /// neighbourhood traversal.
     pub fn new(hg: &'a Hypergraph) -> Self {
-        Self { hg, adj: None }
+        Self {
+            hg,
+            adj: None,
+            threads: 1,
+            terms: Vec::new(),
+        }
     }
 
-    /// Creates a model answering from a precomputed adjacency.
+    /// Creates a single-threaded model answering from a precomputed
+    /// adjacency.
     pub fn with_adjacency(hg: &'a Hypergraph, adj: &'a NeighborAdjacency) -> Self {
-        Self { hg, adj: Some(adj) }
+        Self {
+            adj: Some(adj),
+            ..Self::new(hg)
+        }
+    }
+
+    /// Computes the per-vertex terms on up to `threads` workers (`1`, the
+    /// default, spawns none). The result is the same for every count.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
     }
 }
 
 impl CommCostModel for ExactCommCost<'_> {
     fn comm_cost(&mut self, partition: &Partition, cost: &CostMatrix) -> Option<f64> {
-        Some(match self.adj {
-            Some(adj) => partitioning_communication_cost_with(self.hg, adj, partition, cost),
-            None => partitioning_communication_cost(self.hg, partition, cost),
-        })
+        let (hg, adj) = (self.hg, self.adj);
+        let n = hg.num_vertices();
+        assert_eq!(
+            partition.num_parts() as usize,
+            cost.num_units(),
+            "cost matrix size must match the partition count"
+        );
+        assert_eq!(
+            partition.num_vertices(),
+            n,
+            "partition must cover the hypergraph"
+        );
+        self.terms.clear();
+        self.terms.resize(n, 0.0);
+        let range_len = n.div_ceil(self.threads).max(1);
+        let ranges: Vec<Mutex<(usize, &mut [f64])>> = self
+            .terms
+            .chunks_mut(range_len)
+            .enumerate()
+            .map(|(k, terms)| Mutex::new((k * range_len, terms)))
+            .collect();
+        run_on_workers(ranges.len(), |id| {
+            // An empty graph has no range, but worker 0 still runs.
+            let Some(range) = ranges.get(id) else { return };
+            let mut range = range.lock().expect("comm-cost range lock");
+            let (start, ref mut terms) = *range;
+            let mut fallback: Option<NeighborScratch> = None;
+            let mut counts: Vec<u32> = Vec::new();
+            for (term, v) in terms.iter_mut().zip(start as VertexId..) {
+                match adj {
+                    Some(adj) => {
+                        adj.neighbor_partition_counts(hg, partition, v, &mut fallback, &mut counts)
+                    }
+                    None => fallback
+                        .get_or_insert_with(|| NeighborScratch::new(n))
+                        .neighbor_partition_counts(hg, partition, v, &mut counts),
+                }
+                *term = vertex_comm_cost(&counts, partition.part_of(v), cost);
+            }
+        });
+        drop(ranges);
+        Some(self.terms.iter().fold(0.0, |total, &term| total + term))
     }
 }
 
@@ -487,15 +575,66 @@ impl DoubtBuffer {
 }
 
 /// Mutable state shared by every strategy: the assignment, the workloads
-/// `W(k)` and the expected workloads `E(k)`.
+/// `W(k)`, the expected workloads `E(k)` and the balance terms
+/// `α · W(k) / E(k)` the scorer reads, kept in step with the loads.
 #[derive(Clone, Debug)]
 struct EngineState {
     partition: Partition,
     loads: Vec<f64>,
     expected: Vec<f64>,
+    /// `balance[k] = balance_term(alpha, loads[k], expected[k])`, patched
+    /// for the touched parts on every placement and rewritten whole when
+    /// `alpha` changes.
+    balance: Vec<f64>,
+    alpha: f64,
 }
 
 impl EngineState {
+    /// A state with no `α` yet: [`EngineState::set_alpha`] must run before
+    /// the first score.
+    fn new(partition: Partition, loads: Vec<f64>, expected_load: f64) -> Self {
+        let p = loads.len();
+        Self {
+            partition,
+            loads,
+            expected: vec![expected_load; p],
+            balance: vec![0.0; p],
+            alpha: 0.0,
+        }
+    }
+
+    /// Switches to a new `α`, rewriting every balance term.
+    fn set_alpha(&mut self, alpha: f64) {
+        self.alpha = alpha;
+        for ((b, &w), &e) in self.balance.iter_mut().zip(&self.loads).zip(&self.expected) {
+            *b = balance_term(alpha, w, e);
+        }
+    }
+
+    /// Adds `w` to part `part`'s load.
+    fn add_load(&mut self, part: u32, w: f64) {
+        let k = part as usize;
+        self.loads[k] += w;
+        self.balance[k] = balance_term(self.alpha, self.loads[k], self.expected[k]);
+    }
+
+    /// Takes `w` off part `part`'s load.
+    fn remove_load(&mut self, part: u32, w: f64) {
+        let k = part as usize;
+        self.loads[k] -= w;
+        self.balance[k] = balance_term(self.alpha, self.loads[k], self.expected[k]);
+    }
+
+    /// Whether every cached balance term equals its re-derivation, bit for
+    /// bit (checked at pass end in debug builds).
+    fn balance_is_current(&self) -> bool {
+        self.balance
+            .iter()
+            .zip(&self.loads)
+            .zip(&self.expected)
+            .all(|((&b, &w), &e)| b.to_bits() == balance_term(self.alpha, w, e).to_bits())
+    }
+
     /// Total imbalance `max_k W(k) / avg_k W(k)` from the tracked loads.
     fn imbalance(&self) -> f64 {
         let total: f64 = self.loads.iter().sum();
@@ -513,8 +652,86 @@ struct WorkerSlot<T> {
     scratch: T,
     counts: Vec<u32>,
     value: ValueScratch,
-    delta: Vec<f64>,
+    /// The worker's view of the loads and their balance terms: the window
+    /// snapshot plus scaled local deltas (BSP), or the last sync with the
+    /// shared counters plus the worker's own placements (work stealing).
     loads_view: Vec<f64>,
+    balance_view: Vec<f64>,
+    /// BSP: the worker's load deltas since the window snapshot.
+    delta: Vec<f64>,
+    /// Work stealing: the fixed-point load view, and the worker's
+    /// fixed-point deltas not yet published to the shared counters.
+    fixed_view: Vec<i64>,
+    fixed_delta: Vec<i64>,
+}
+
+impl<T> WorkerSlot<T> {
+    fn new(scratch: T, p: usize) -> Self {
+        Self {
+            scratch,
+            counts: Vec::with_capacity(p),
+            value: ValueScratch::new(),
+            loads_view: Vec::with_capacity(p),
+            balance_view: Vec::with_capacity(p),
+            delta: vec![0.0; p],
+            fixed_view: Vec::with_capacity(p),
+            fixed_delta: vec![0; p],
+        }
+    }
+
+    /// Work stealing: copies the shared fixed-point loads into the local
+    /// views at the start of a batch.
+    fn load_shared(&mut self, shared: &[AtomicI64], alpha: f64, expected: &[f64]) {
+        self.fixed_view.clear();
+        self.fixed_view
+            .extend(shared.iter().map(|c| c.load(AtomicOrdering::Relaxed)));
+        self.loads_view.clear();
+        self.loads_view
+            .extend(self.fixed_view.iter().map(|&f| from_fixed(f)));
+        self.balance_view.clear();
+        self.balance_view.extend(
+            self.loads_view
+                .iter()
+                .zip(expected)
+                .map(|(&w, &e)| balance_term(alpha, w, e)),
+        );
+    }
+
+    /// Work stealing: applies one of the worker's own load changes to the
+    /// local views and records it for publishing.
+    fn shift_local(&mut self, part: usize, d: i64, alpha: f64, expected: &[f64]) {
+        self.fixed_view[part] += d;
+        self.fixed_delta[part] += d;
+        self.loads_view[part] = from_fixed(self.fixed_view[part]);
+        self.balance_view[part] = balance_term(alpha, self.loads_view[part], expected[part]);
+    }
+
+    /// Work stealing: publishes the pending deltas, one `fetch_add` per
+    /// touched part.
+    fn publish(&mut self, shared: &[AtomicI64]) {
+        for (counter, d) in shared.iter().zip(&mut self.fixed_delta) {
+            if *d != 0 {
+                counter.fetch_add(*d, AtomicOrdering::Relaxed);
+                *d = 0;
+            }
+        }
+    }
+
+    /// Work stealing: publishes the pending deltas, then takes in the
+    /// peers' published loads. Only parts a peer changed since the last
+    /// sync are re-derived, so the balance divisions stay proportional to
+    /// the placements made, not to `p`.
+    fn sync(&mut self, shared: &[AtomicI64], alpha: f64, expected: &[f64]) {
+        self.publish(shared);
+        for (k, counter) in shared.iter().enumerate() {
+            let fixed = counter.load(AtomicOrdering::Relaxed);
+            if fixed != self.fixed_view[k] {
+                self.fixed_view[k] = fixed;
+                self.loads_view[k] = from_fixed(fixed);
+                self.balance_view[k] = balance_term(alpha, self.loads_view[k], expected[k]);
+            }
+        }
+    }
 }
 
 /// One live (fresh-information) placement — the shared inner step of the
@@ -527,7 +744,6 @@ fn place_live<P: ConnectivityProvider>(
     cost: &CostMatrix,
     provider: &mut P,
     state: &mut EngineState,
-    alpha: f64,
     record: &VertexRecord,
     current: Option<u32>,
     scratch: &mut P::Scratch,
@@ -536,13 +752,13 @@ fn place_live<P: ConnectivityProvider>(
 ) -> ScoredPartition {
     let w = record.weight;
     if let Some(cur) = current {
-        state.loads[cur as usize] -= w;
+        state.remove_load(cur, w);
         provider.detach(record, cur);
     }
     provider.count(record, &state.partition, scratch, counts);
-    let scored = best_partition_in(counts, cost, alpha, &state.loads, &state.expected, value);
+    let scored = best_partition_in(counts, cost, &state.loads, &state.balance, value);
     state.partition.set(record.vertex, scored.part);
-    state.loads[scored.part as usize] += w;
+    state.add_load(scored.part, w);
     provider.attach(record, scored.part);
     scored
 }
@@ -579,6 +795,9 @@ pub struct Engine {
 struct EngineMetrics {
     /// Wall-clock of each streaming pass, microseconds.
     pass_time_us: Histogram,
+    /// Wall-clock of each communication-cost evaluation (one per pass,
+    /// plus one for a run that ends without a rollback), microseconds.
+    comm_cost_us: Histogram,
     /// Vertices scored across all passes (each pass streams the source once).
     vertices_scored: Counter,
     /// Doubt-buffer entries at the end of the latest pass.
@@ -595,6 +814,7 @@ impl EngineMetrics {
     fn bind(registry: &Registry) -> Self {
         EngineMetrics {
             pass_time_us: registry.histogram("engine.pass_time_us"),
+            comm_cost_us: registry.histogram("engine.comm_cost_us"),
             vertices_scored: registry.counter("engine.vertices_scored"),
             doubt_entries: registry.gauge("engine.doubt.entries"),
             doubt_bytes: registry.gauge("engine.doubt.bytes"),
@@ -656,11 +876,11 @@ impl Engine {
 
         let total_weight = source.total_vertex_weight().unwrap_or(n as f64);
         let expected_load = (total_weight / p as f64).max(f64::MIN_POSITIVE);
-        let mut state = EngineState {
-            partition: Partition::round_robin(n, p as u32),
-            loads: vec![0.0f64; p],
-            expected: vec![expected_load; p],
-        };
+        let mut state = EngineState::new(
+            Partition::round_robin(n, p as u32),
+            vec![0.0f64; p],
+            expected_load,
+        );
         let assigned = match config.initial {
             InitialAssignment::RoundRobin => {
                 self.seed_round_robin(source, provider, &mut state)?;
@@ -719,11 +939,7 @@ impl Engine {
         let e = source.num_nets();
         let total_weight: f64 = warm.loads.iter().sum();
         let expected_load = (total_weight / p as f64).max(f64::MIN_POSITIVE);
-        let state = EngineState {
-            partition: warm.partition,
-            loads: warm.loads,
-            expected: vec![expected_load; p],
-        };
+        let state = EngineState::new(warm.partition, warm.loads, expected_load);
         self.run_loop(cost, source, provider, cost_model, state, true, n, e)
     }
 
@@ -753,6 +969,7 @@ impl Engine {
         let mut alpha = config
             .initial_alpha
             .unwrap_or_else(|| HyperPrawConfig::fennel_alpha(p as u32, n, e));
+        state.set_alpha(alpha);
 
         let mut history = PartitionHistory::new();
         // Best feasible (within-tolerance) partition seen so far, with its
@@ -778,7 +995,6 @@ impl Engine {
                     source,
                     provider,
                     &mut state,
-                    alpha,
                     assigned,
                     &mut doubts,
                     &mut record,
@@ -791,7 +1007,6 @@ impl Engine {
                     source,
                     provider,
                     &mut state,
-                    alpha,
                     assigned,
                     num_threads,
                     sync_interval,
@@ -807,7 +1022,6 @@ impl Engine {
                     source,
                     provider,
                     &mut state,
-                    alpha,
                     assigned,
                     &mut doubts,
                     &mut record,
@@ -817,7 +1031,6 @@ impl Engine {
                     source,
                     provider,
                     &mut state,
-                    alpha,
                     assigned,
                     num_threads,
                     chunk,
@@ -827,12 +1040,15 @@ impl Engine {
                 )?,
             };
             pass_span.finish();
+            debug_assert!(state.balance_is_current(), "stale balance cache");
             self.metrics.doubt_entries.set(doubts.heap.len() as i64);
             self.metrics.doubt_bytes.set(doubts.bytes as i64);
             assigned = true;
 
             let imbalance = state.imbalance();
+            let cost_span = self.metrics.comm_cost_us.span();
             let comm_cost = cost_model.comm_cost(&state.partition, cost);
+            cost_span.finish();
             let feasible = imbalance <= config.imbalance_tolerance + 1e-12;
             if config.track_history {
                 history.push(IterationRecord {
@@ -852,6 +1068,7 @@ impl Engine {
             if !feasible {
                 // Still outside tolerance: temper α upwards and re-stream.
                 alpha *= config.tempering_factor;
+                state.set_alpha(alpha);
                 continue;
             }
 
@@ -888,6 +1105,7 @@ impl Engine {
                         break;
                     }
                     alpha *= factor;
+                    state.set_alpha(alpha);
                 }
             }
         }
@@ -915,7 +1133,6 @@ impl Engine {
                     cost,
                     provider,
                     &mut state,
-                    alpha,
                     &record,
                     Some(old),
                     &mut scratch,
@@ -933,9 +1150,11 @@ impl Engine {
         let (partition, comm_cost, imbalance) = match previous_feasible {
             Some((partition, c, imb)) => (partition, c, imb),
             None => {
+                let cost_span = self.metrics.comm_cost_us.span();
                 let c = cost_model
                     .comm_cost(&state.partition, cost)
                     .unwrap_or(f64::NAN);
+                cost_span.finish();
                 let imb = state.imbalance();
                 (state.partition, c, imb)
             }
@@ -986,7 +1205,6 @@ impl Engine {
         source: &mut S,
         provider: &mut P,
         state: &mut EngineState,
-        alpha: f64,
         assigned: bool,
         doubts: &mut DoubtBuffer,
         record: &mut VertexRecord,
@@ -1007,7 +1225,6 @@ impl Engine {
                 cost,
                 provider,
                 state,
-                alpha,
                 record,
                 current,
                 &mut scratch,
@@ -1039,7 +1256,6 @@ impl Engine {
         source: &mut S,
         provider: &mut P,
         state: &mut EngineState,
-        alpha: f64,
         assigned: bool,
         num_threads: usize,
         sync_interval: usize,
@@ -1054,13 +1270,7 @@ impl Engine {
         let p = state.loads.len();
         let window_len = sync_interval.max(num_threads).max(1);
         while slots.len() < num_threads {
-            slots.push(WorkerSlot {
-                scratch: provider.new_scratch(),
-                counts: Vec::with_capacity(p),
-                value: ValueScratch::new(),
-                delta: vec![0.0f64; p],
-                loads_view: Vec::with_capacity(p),
-            });
+            slots.push(WorkerSlot::new(provider.new_scratch(), p));
         }
         let mut moved = 0usize;
 
@@ -1093,7 +1303,6 @@ impl Engine {
                         cost,
                         provider,
                         state,
-                        alpha,
                         record,
                         current,
                         &mut slot.scratch,
@@ -1126,9 +1335,10 @@ impl Engine {
             let scale = chunks.len() as f64;
             let snapshot = &state.partition;
             let snapshot_loads = &state.loads;
+            let snapshot_balance = &state.balance;
             let expected = &state.expected;
+            let alpha = state.alpha;
             let provider_ref: &P = provider;
-            let config_alpha = alpha;
 
             let proposals: Vec<Vec<(u32, f64)>> = thread::scope(|scope| {
                 let handles: Vec<_> = chunks
@@ -1140,14 +1350,22 @@ impl Engine {
                             slot.delta.iter_mut().for_each(|d| *d = 0.0);
                             slot.loads_view.clear();
                             slot.loads_view.extend_from_slice(snapshot_loads);
+                            slot.balance_view.clear();
+                            slot.balance_view.extend_from_slice(snapshot_balance);
+                            // Patches one part of the worker's view after a
+                            // local delta change.
+                            let patch = |slot: &mut WorkerSlot<P::Scratch>, k: usize| {
+                                slot.loads_view[k] = snapshot_loads[k] + slot.delta[k] * scale;
+                                slot.balance_view[k] =
+                                    balance_term(alpha, slot.loads_view[k], expected[k]);
+                            };
                             let mut local: Vec<(u32, f64)> = Vec::with_capacity(chunk.len());
                             for record in chunk {
                                 let w = record.weight;
                                 if assigned {
                                     let current = snapshot.part_of(record.vertex) as usize;
                                     slot.delta[current] -= w;
-                                    slot.loads_view[current] =
-                                        snapshot_loads[current] + slot.delta[current] * scale;
+                                    patch(slot, current);
                                 }
                                 provider_ref.count(
                                     record,
@@ -1158,14 +1376,13 @@ impl Engine {
                                 let scored = best_partition_in(
                                     &slot.counts,
                                     cost,
-                                    config_alpha,
                                     &slot.loads_view,
-                                    expected,
+                                    &slot.balance_view,
                                     &mut slot.value,
                                 );
                                 let t = scored.part as usize;
                                 slot.delta[t] += w;
-                                slot.loads_view[t] = snapshot_loads[t] + slot.delta[t] * scale;
+                                patch(slot, t);
                                 local.push((scored.part, scored.margin));
                             }
                             local
@@ -1184,19 +1401,7 @@ impl Engine {
             // metrics are computed.
             for (chunk, results) in chunks.iter().zip(&proposals) {
                 for (record, &(target, margin)) in chunk.iter().zip(results) {
-                    let v = record.vertex;
-                    let w = record.weight;
-                    let current = assigned.then(|| state.partition.part_of(v));
-                    if let Some(cur) = current {
-                        state.loads[cur as usize] -= w;
-                        provider.detach(record, cur);
-                    }
-                    state.partition.set(v, target);
-                    state.loads[target as usize] += w;
-                    provider.attach(record, target);
-                    if current != Some(target) {
-                        moved += 1;
-                    }
+                    moved += apply_proposal(state, provider, record, assigned, target);
                     doubts.offer(&self.config.doubts, provider, record, target, margin);
                 }
             }
@@ -1207,13 +1412,17 @@ impl Engine {
     /// One lock-free work-stealing stream: the engine thread fills a large
     /// batch of records, a thread team spawned **once per batch** claims
     /// fixed-size chunks of it off a shared [`ChunkCursor`], and every
-    /// worker scores against *live* shared state — the full assignment as
-    /// an atomic slice, the per-part loads as fixed-point atomics — so
-    /// placements become visible to peers per vertex instead of per
-    /// synchronisation window. Provider mutation, authoritative `f64` load
-    /// accounting, move counting and doubt collection happen on the engine
-    /// thread at the batch boundary (the bounded-staleness window for
-    /// index-backed providers). Returns the number of moved vertices.
+    /// worker scores against shared state with two freshness levels. The
+    /// full assignment is an atomic slice that placements update per
+    /// vertex. The per-part loads are fixed-point atomics that a worker
+    /// copies into local views; it applies its own placements to those
+    /// views and syncs them every [`LOAD_SYNC_VERTICES`] placements and at
+    /// chunk end, publishing its accumulated deltas with one `fetch_add`
+    /// per touched part and re-reading its peers'. Provider mutation,
+    /// authoritative `f64` load accounting, move counting and doubt
+    /// collection happen on the engine thread at the batch boundary (the
+    /// bounded-staleness window for index-backed providers). Returns the
+    /// number of moved vertices.
     #[allow(clippy::too_many_arguments)] // the engine's hot path shares one state bundle
     fn steal_pass<S, P>(
         &self,
@@ -1221,7 +1430,6 @@ impl Engine {
         source: &mut S,
         provider: &mut P,
         state: &mut EngineState,
-        alpha: f64,
         assigned: bool,
         num_threads: usize,
         chunk: usize,
@@ -1235,13 +1443,7 @@ impl Engine {
     {
         let p = state.loads.len();
         while slots.len() < num_threads {
-            slots.push(WorkerSlot {
-                scratch: provider.new_scratch(),
-                counts: Vec::with_capacity(p),
-                value: ValueScratch::new(),
-                delta: vec![0.0f64; p],
-                loads_view: Vec::with_capacity(p),
-            });
+            slots.push(WorkerSlot::new(provider.new_scratch(), p));
         }
         // The live assignment view covers the *full* graph — connectivity
         // counts read arbitrary neighbours, not just batch members.
@@ -1298,25 +1500,25 @@ impl Engine {
                 let view = &view;
                 let shared = &shared_loads[..];
                 let expected = &state.expected[..];
+                let alpha = state.alpha;
                 let provider_ref: &P = provider;
                 let chunk_claims = &self.metrics.steal_chunk_claims;
 
                 let run_worker =
                     |slot: &mut WorkerSlot<P::Scratch>, out: &mut Vec<(usize, u32, f64)>| {
-                        slot.loads_view.clear();
-                        slot.loads_view.resize(p, 0.0);
+                        slot.load_shared(shared, alpha, expected);
                         while let Some(range) = cursor.claim() {
                             chunk_claims.inc();
                             out.reserve(range.len());
-                            for i in range {
+                            for (k, i) in range.enumerate() {
+                                if k % LOAD_SYNC_VERTICES == 0 {
+                                    slot.sync(shared, alpha, expected);
+                                }
                                 let record = &records[i];
                                 let w = to_fixed(record.weight);
                                 if assigned {
                                     let old = view.part_of(record.vertex) as usize;
-                                    shared[old].fetch_sub(w, AtomicOrdering::Relaxed);
-                                }
-                                for (local, counter) in slot.loads_view.iter_mut().zip(shared) {
-                                    *local = from_fixed(counter.load(AtomicOrdering::Relaxed));
+                                    slot.shift_local(old, -w, alpha, expected);
                                 }
                                 provider_ref.count(
                                     record,
@@ -1327,15 +1529,15 @@ impl Engine {
                                 let scored = best_partition_in(
                                     &slot.counts,
                                     cost,
-                                    alpha,
                                     &slot.loads_view,
-                                    expected,
+                                    &slot.balance_view,
                                     &mut slot.value,
                                 );
-                                shared[scored.part as usize].fetch_add(w, AtomicOrdering::Relaxed);
+                                slot.shift_local(scored.part as usize, w, alpha, expected);
                                 view.set(record.vertex, scored.part);
                                 out.push((i, scored.part, scored.margin));
                             }
+                            slot.publish(shared);
                         }
                     };
 
@@ -1381,25 +1583,35 @@ impl Engine {
             // detach/attach, authoritative f64 loads, move accounting and
             // doubt collection all run on the engine thread.
             for (record, &(target, margin)) in records.iter().zip(&proposals) {
-                let v = record.vertex;
-                let w = record.weight;
-                let current = assigned.then(|| state.partition.part_of(v));
-                if let Some(cur) = current {
-                    state.loads[cur as usize] -= w;
-                    provider.detach(record, cur);
-                }
-                state.partition.set(v, target);
-                state.loads[target as usize] += w;
-                provider.attach(record, target);
-                if current != Some(target) {
-                    moved += 1;
-                }
+                moved += apply_proposal(state, provider, record, assigned, target);
                 doubts.offer(&self.config.doubts, provider, record, target, margin);
             }
             self.metrics.steal_batch_applies.inc();
         }
         Ok(moved)
     }
+}
+
+/// Applies one worker's proposal at a BSP window or steal batch boundary:
+/// detach `record` from its current part, assign it to `target` and attach.
+/// Returns 1 when the vertex moved, 0 otherwise.
+fn apply_proposal<P: ConnectivityProvider>(
+    state: &mut EngineState,
+    provider: &mut P,
+    record: &VertexRecord,
+    assigned: bool,
+    target: u32,
+) -> usize {
+    let w = record.weight;
+    let current = assigned.then(|| state.partition.part_of(record.vertex));
+    if let Some(cur) = current {
+        state.remove_load(cur, w);
+        provider.detach(record, cur);
+    }
+    state.partition.set(record.vertex, target);
+    state.add_load(target, w);
+    provider.attach(record, target);
+    usize::from(current != Some(target))
 }
 
 /// The work-stealing strategy's live shared assignment: one `AtomicU32`
@@ -1452,4 +1664,84 @@ fn to_fixed(load: f64) -> i64 {
 
 fn from_fixed(load: i64) -> f64 {
     load as f64 / (1i64 << LOAD_FRACTION_BITS) as f64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::metrics::partitioning_communication_cost;
+    use hyperpraw_hypergraph::generators::{
+        mesh_hypergraph, powerlaw_hypergraph, MeshConfig, PowerLawConfig,
+    };
+    use hyperpraw_hypergraph::AdjacencyBudget;
+    use hyperpraw_topology::{BandwidthMatrix, MachineModel};
+
+    #[test]
+    fn non_finite_tempering_and_refinement_factors_fail_engine_validation() {
+        let base = EngineConfig::restreaming(&HyperPrawConfig::default());
+        assert!(base.validate().is_ok());
+        for factor in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let tempering = EngineConfig {
+                tempering_factor: factor,
+                ..base
+            };
+            assert!(tempering.validate().is_err(), "tempering {factor}");
+            let refinement = EngineConfig {
+                refinement: RefinementPolicy::Factor(factor),
+                ..base
+            };
+            assert!(refinement.validate().is_err(), "refinement {factor}");
+        }
+    }
+
+    #[test]
+    fn threaded_comm_cost_is_bit_identical_to_the_serial_metric() {
+        let p = 24;
+        let machine = MachineModel::archer_like(p);
+        let cost = CostMatrix::from_bandwidth(&BandwidthMatrix::from_machine(&machine, 0.05, 3));
+        let mesh = mesh_hypergraph(&MeshConfig::new(1500, 8));
+        let web = powerlaw_hypergraph(&PowerLawConfig {
+            num_vertices: 1200,
+            num_hyperedges: 900,
+            seed: 11,
+            ..PowerLawConfig::default()
+        });
+        // Fewer vertices than the largest thread count.
+        let tiny = mesh_hypergraph(&MeshConfig::new(5, 3));
+        for hg in [&mesh, &web, &tiny] {
+            let partition = Partition::from_assignment(
+                (0..hg.num_vertices() as u32)
+                    .map(|v| v.wrapping_mul(2_654_435_761) % p as u32)
+                    .collect(),
+                p as u32,
+            )
+            .unwrap();
+            let reference = partitioning_communication_cost(hg, &partition, &cost);
+            // Auto keeps every list; a degree cutoff of 3 makes most
+            // vertices hubs, which fall back to per-worker traversal.
+            let auto = NeighborAdjacency::build(hg, AdjacencyBudget::Auto);
+            let cutoff = NeighborAdjacency::build(hg, AdjacencyBudget::DegreeCutoff(3));
+            assert!(hg.num_vertices() < 8 || cutoff.num_hubs() > 0);
+            for threads in [1, 2, 3, 8] {
+                let models = [
+                    ExactCommCost::new(hg),
+                    ExactCommCost::with_adjacency(hg, &auto),
+                    ExactCommCost::with_adjacency(hg, &cutoff),
+                ];
+                for (k, model) in models.into_iter().enumerate() {
+                    let mut model = model.with_threads(threads);
+                    // Twice: the term buffer is reused across passes.
+                    for _ in 0..2 {
+                        let got = model.comm_cost(&partition, &cost).unwrap();
+                        assert_eq!(
+                            got.to_bits(),
+                            reference.to_bits(),
+                            "{} vertices, model {k}, {threads} threads: {got} vs {reference}",
+                            hg.num_vertices()
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

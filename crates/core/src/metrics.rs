@@ -13,6 +13,8 @@ use hyperpraw_hypergraph::{
 };
 use hyperpraw_topology::CostMatrix;
 
+use crate::engine::{CommCostModel, ExactCommCost};
+
 /// The communication cost `T_i(v)` of hosting vertex `v` on partition `i`
 /// (equation 4): the number of neighbours of `v` in every other partition
 /// `j`, weighted by the cost `C(i, j)` of the link between the two compute
@@ -67,31 +69,17 @@ pub fn partitioning_communication_cost(
 /// identical exact integers accumulated in the same vertex order, so the
 /// result is **bit-identical** to the traversal-based evaluation — this is
 /// what lets the refinement stopping rule run on the adjacency without
-/// perturbing the engine-equivalence guarantees.
+/// perturbing the engine-equivalence guarantees. This is the engine's
+/// [`ExactCommCost`] on one thread.
 pub fn partitioning_communication_cost_with(
     hg: &Hypergraph,
     adj: &NeighborAdjacency,
     partition: &Partition,
     cost: &CostMatrix,
 ) -> f64 {
-    assert_eq!(
-        partition.num_parts() as usize,
-        cost.num_units(),
-        "cost matrix size must match the partition count"
-    );
-    assert_eq!(
-        partition.num_vertices(),
-        hg.num_vertices(),
-        "partition must cover the hypergraph"
-    );
-    let mut fallback = None;
-    let mut counts: Vec<u32> = Vec::new();
-    let mut total = 0.0;
-    for v in hg.vertices() {
-        adj.neighbor_partition_counts(hg, partition, v, &mut fallback, &mut counts);
-        total += vertex_comm_cost(&counts, partition.part_of(v), cost);
-    }
-    total
+    ExactCommCost::with_adjacency(hg, adj)
+        .comm_cost(partition, cost)
+        .expect("exact evaluation always yields a cost")
 }
 
 /// All quality metrics the paper reports for one partitioning (Figure 4

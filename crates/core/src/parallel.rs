@@ -18,9 +18,10 @@
 //!   applied and the global workloads updated — GraSP's "periodically
 //!   synchronising workload and partition assignments" step.
 //!   Deterministic at any thread count.
-//! * [`ParallelMode::WorkStealing`] — lock-free chunk claiming against live
-//!   atomic state ([`ExecutionStrategy::WorkStealing`]): no barriers,
-//!   bounded staleness, not bit-reproducible above one worker.
+//! * [`ParallelMode::WorkStealing`] — lock-free chunk claiming against a
+//!   live atomic assignment and load views synced every few placements
+//!   ([`ExecutionStrategy::WorkStealing`]): no barriers, bounded
+//!   staleness, not bit-reproducible above one worker.
 //!
 //! The trade-off is the classic one: wall-clock time per stream drops with
 //! the number of workers while the partition quality degrades slightly
@@ -39,10 +40,10 @@ pub enum ParallelMode {
     /// count, the reproducibility mode.
     #[default]
     Bsp,
-    /// Lock-free chunk claiming against live atomic state
-    /// ([`ExecutionStrategy::WorkStealing`]): near-linear scaling, valid
-    /// at any thread count, but not bit-reproducible above one worker —
-    /// the throughput mode.
+    /// Lock-free chunk claiming against a live atomic assignment and
+    /// frequently synced load views
+    /// ([`ExecutionStrategy::WorkStealing`]): valid at any thread count,
+    /// but not bit-reproducible above one worker — the throughput mode.
     WorkStealing,
 }
 

@@ -144,7 +144,7 @@ impl HyperPraw {
                 &self.cost,
                 &mut source,
                 &mut AdjProvider::from_adjacency(hg, &adj).with_registry(&self.registry),
-                &mut ExactCommCost::with_adjacency(hg, &adj),
+                &mut ExactCommCost::with_adjacency(hg, &adj).with_threads(max_threads),
             )
             .expect("in-memory sources cannot fail");
         PartitionResult::from_engine(run)

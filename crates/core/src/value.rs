@@ -12,6 +12,15 @@
 
 use hyperpraw_topology::CostMatrix;
 
+/// The balance term `α · W(i) / E(i)` of equation 1 for one partition.
+/// Callers of [`best_partition_in`] fill its `balance` slice through this
+/// one expression, so the cached terms are bitwise the ones [`value_of`]
+/// computes.
+#[inline]
+pub fn balance_term(alpha: f64, load: f64, expected: f64) -> f64 {
+    alpha * load / expected
+}
+
 /// Evaluates the value `V_i(v)` of assigning a vertex to partition
 /// `candidate` (equation 1):
 ///
@@ -55,7 +64,7 @@ pub fn value_of(
         neighbour_parts -= 1;
     }
     let n = neighbour_parts as f64 / p;
-    -n * t - alpha * load / expected
+    -n * t - balance_term(alpha, load, expected)
 }
 
 /// The outcome of scoring every candidate partition for one vertex.
@@ -76,7 +85,10 @@ pub struct ScoredPartition {
 /// contents are meaningless between calls.
 #[derive(Clone, Debug, Default)]
 pub struct ValueScratch {
+    /// Communication terms `T_i(v)`, one per candidate.
     t: Vec<f64>,
+    /// The nonzero `(j, X_j(v))` pairs, in ascending `j`.
+    sources: Vec<(usize, f64)>,
 }
 
 impl ValueScratch {
@@ -90,85 +102,127 @@ impl ValueScratch {
 /// reporting the winner's value and its margin over the runner-up, reusing
 /// `scratch` across calls.
 ///
-/// Ties are broken towards the lighter partition, and then towards the
-/// lower partition id, so the stream is fully deterministic.
+/// `loads[i]` is the workload `W(i)` and `balance[i]` the balance term
+/// `α · W(i) / E(i)`, which callers keep cached next to the loads and fill
+/// through [`balance_term`]. Ties are broken towards the lighter
+/// partition, and then towards the lower partition id, so the stream is
+/// fully deterministic.
 ///
 /// The naive scorer evaluates [`value_of`] per candidate — `O(p²)` matrix
-/// reads per vertex even when the vertex's neighbours touch only a handful
-/// of partitions. This version accumulates the communication terms
-/// `t_i = Σ_j X_j(v) · C(i,j)` one *source* partition `j` with `X_j > 0`
-/// at a time over the contiguous column cache ([`CostMatrix::col`]),
-/// so the work is `O(p · |{j : X_j > 0}|)`; for unit-uniform matrices
-/// ([`CostMatrix::is_unit_uniform`]) the terms collapse to the exact
-/// integers `Σ_j X_j − X_i` and the matrix is never touched.
+/// reads and `p` balance divisions per vertex even when the vertex's
+/// neighbours touch only a handful of partitions. This version gathers
+/// the source partitions `j` with `X_j(v) > 0` once, then accumulates
+/// `T_i(v) = Σ_j X_j(v) · C(i,j)` for every candidate over up to four
+/// contiguous columns ([`CostMatrix::col`]) per sweep, so the work is
+/// `O(p · |{j : X_j > 0}|)` with a quarter of the passes over `T`. For
+/// unit-uniform matrices ([`CostMatrix::is_unit_uniform`]) the terms
+/// collapse to the exact integers `Σ_j X_j − X_i` and the matrix is never
+/// touched. `N_i(v)` takes only two values, `(K−1)/p` and `K/p` for `K`
+/// source partitions, so both are divided out once.
 ///
-/// For every candidate `i` the contributions are added in the same
-/// ascending-`j` order [`value_of`] uses, so the result — winner, value,
-/// margin and tie-breaking — is **bit-identical** to the naive
-/// per-candidate scorer (kept as the test oracle); the engine equivalence
-/// tests rely on this.
+/// The result — winner, value, margin and tie-breaking — is
+/// **bit-identical** to the per-candidate specification (kept as the test
+/// oracle), which the engine equivalence tests rely on: every candidate
+/// performs the same IEEE operations in the same order. A four-column
+/// sweep computes `(((t + c₀·C₀) + c₁·C₁) + c₂·C₂) + c₃·C₃`, still adding
+/// the terms in ascending `j` exactly as [`value_of`] does, Rust never
+/// contracts a multiply and an add into one fused operation, and the
+/// cached balance term is [`value_of`]'s own subexpression.
 pub fn best_partition_in(
     counts: &[u32],
     cost: &CostMatrix,
-    alpha: f64,
     loads: &[f64],
-    expected: &[f64],
+    balance: &[f64],
     scratch: &mut ValueScratch,
 ) -> ScoredPartition {
     debug_assert_eq!(counts.len(), loads.len());
+    debug_assert_eq!(counts.len(), balance.len());
     debug_assert_eq!(counts.len(), cost.num_units());
     let p = counts.len();
     let t = &mut scratch.t;
     t.clear();
     t.resize(p, 0.0);
-    let mut neighbour_parts_total = 0u32;
+    let neighbour_parts_total;
     if cost.is_unit_uniform() {
         // Exact integer shortcut: every off-diagonal cost is 1.0, so
         // t_i = Σ_j X_j − X_i. Counts are u32 integers, so the sums are
         // exact and bitwise equal to the ordered accumulation.
+        let mut parts = 0u32;
         let mut total = 0u64;
         for &c in counts {
             if c > 0 {
-                neighbour_parts_total += 1;
+                parts += 1;
                 total += u64::from(c);
             }
         }
-        for (i, &c) in counts.iter().enumerate() {
-            t[i] = (total - u64::from(c)) as f64;
+        for (ti, &c) in t.iter_mut().zip(counts) {
+            *ti = (total - u64::from(c)) as f64;
         }
+        neighbour_parts_total = parts;
     } else {
-        for (j, &c) in counts.iter().enumerate() {
-            if c == 0 {
-                continue;
+        let sources = &mut scratch.sources;
+        sources.clear();
+        sources.extend(
+            counts
+                .iter()
+                .enumerate()
+                .filter(|&(_, &c)| c > 0)
+                .map(|(j, &c)| (j, c as f64)),
+        );
+        neighbour_parts_total = sources.len() as u32;
+        let col = |j: usize| &cost.col(j)[..p];
+        let mut groups = sources.chunks_exact(4);
+        for g in &mut groups {
+            let [(j0, c0), (j1, c1), (j2, c2), (j3, c3)] = [g[0], g[1], g[2], g[3]];
+            let cols = col(j0).iter().zip(col(j1)).zip(col(j2)).zip(col(j3));
+            for (ti, (((&k0, &k1), &k2), &k3)) in t.iter_mut().zip(cols) {
+                *ti = (((*ti + c0 * k0) + c1 * k1) + c2 * k2) + c3 * k3;
             }
-            neighbour_parts_total += 1;
-            let cj = c as f64;
-            for (ti, &cij) in t.iter_mut().zip(cost.col(j)) {
-                *ti += cj * cij;
+        }
+        match *groups.remainder() {
+            [] => {}
+            [(j0, c0)] => {
+                for (ti, &k0) in t.iter_mut().zip(col(j0)) {
+                    *ti += c0 * k0;
+                }
             }
+            [(j0, c0), (j1, c1)] => {
+                for (ti, (&k0, &k1)) in t.iter_mut().zip(col(j0).iter().zip(col(j1))) {
+                    *ti = (*ti + c0 * k0) + c1 * k1;
+                }
+            }
+            [(j0, c0), (j1, c1), (j2, c2)] => {
+                let cols = col(j0).iter().zip(col(j1)).zip(col(j2));
+                for (ti, ((&k0, &k1), &k2)) in t.iter_mut().zip(cols) {
+                    *ti = ((*ti + c0 * k0) + c1 * k1) + c2 * k2;
+                }
+            }
+            _ => unreachable!("chunks_exact(4) leaves at most three"),
         }
     }
 
+    // N_i(v): source partitions other than i, over p.
     let pf = p as f64;
-    let mut best = 0u32;
+    let n_holding = neighbour_parts_total.saturating_sub(1) as f64 / pf;
+    let n_other = neighbour_parts_total as f64 / pf;
+    let mut best = 0usize;
     let mut best_value = f64::NEG_INFINITY;
     let mut runner_up = f64::NEG_INFINITY;
-    for i in 0..p {
-        let neighbour_parts = neighbour_parts_total - u32::from(counts[i] > 0);
-        let n = neighbour_parts as f64 / pf;
-        let v = -n * t[i] - alpha * loads[i] / expected[i];
+    for (i, ((&c, &ti), &b)) in counts.iter().zip(t.iter()).zip(balance).enumerate() {
+        let n = if c > 0 { n_holding } else { n_other };
+        let v = -n * ti - b;
         let better = v > best_value + 1e-12
-            || ((v - best_value).abs() <= 1e-12 && loads[i] < loads[best as usize] - 1e-12);
+            || ((v - best_value).abs() <= 1e-12 && loads[i] < loads[best] - 1e-12);
         if better {
             runner_up = best_value;
-            best = i as u32;
+            best = i;
             best_value = v;
         } else if v > runner_up {
             runner_up = v;
         }
     }
     ScoredPartition {
-        part: best,
+        part: best as u32,
         value: best_value,
         margin: if runner_up == f64::NEG_INFINITY {
             f64::INFINITY
@@ -181,6 +235,7 @@ pub fn best_partition_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hyperpraw_topology::{BandwidthMatrix, MachineModel};
 
     /// Specification scorer, the oracle for [`best_partition_in`]: finds
     /// the partition with the highest assignment value for a vertex, one
@@ -331,10 +386,12 @@ mod tests {
 
     #[test]
     fn scratch_scorer_is_bit_identical_to_the_reference_scorer() {
-        // Pseudo-random but deterministic instances over both a unit-uniform
-        // and a genuinely heterogeneous cost matrix.
-        let p = 7usize;
-        let mut raw = vec![0.0f64; p * p];
+        // Every part count from 1 to 96, every nonzero-part count from 0 to
+        // 9 (each remainder of the four-column sweep), over unit-uniform,
+        // archer-shaped and random heterogeneous matrices. Even cases are
+        // tie-heavy: small counts, loads from {0, 1, 2} and α from
+        // {0, 1e-13, 1, 3}, so equal values and the lighter-part and
+        // lower-id tie-breaks decide.
         let mut state = 0x9E3779B97F4A7C15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -342,39 +399,52 @@ mod tests {
             state ^= state << 17;
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
-        for v in raw.iter_mut() {
-            *v = 0.5 + next() * 1.5;
-        }
-        let aware = CostMatrix::from_raw(p, raw);
-        let uniform = CostMatrix::uniform(p);
         let mut scratch = ValueScratch::new();
-        for cost in [&uniform, &aware] {
-            for case in 0..200 {
-                let counts: Vec<u32> = (0..p)
-                    .map(|i| {
-                        if (case + i) % 3 == 0 {
-                            0
-                        } else {
-                            (next() * 9.0) as u32
+        for p in [1usize, 2, 3, 4, 5, 7, 24, 96] {
+            let raw: Vec<f64> = (0..p * p).map(|_| 0.5 + next() * 1.5).collect();
+            let machine = MachineModel::archer_like(p);
+            let costs = [
+                CostMatrix::uniform(p),
+                CostMatrix::from_raw(p, raw),
+                CostMatrix::from_bandwidth(&BandwidthMatrix::from_machine(&machine, 0.0, 1)),
+            ];
+            for (k, cost) in costs.iter().enumerate() {
+                for nonzero in 0..=p.min(9) {
+                    for case in 0..24usize {
+                        let tie_heavy = case % 2 == 0;
+                        let mut counts = vec![0u32; p];
+                        let mut placed = 0;
+                        while placed < nonzero {
+                            let j = ((next() * p as f64) as usize).min(p - 1);
+                            if counts[j] == 0 {
+                                let spread = if tie_heavy { 2.0 } else { 9.0 };
+                                counts[j] = 1 + (next() * spread) as u32;
+                                placed += 1;
+                            }
                         }
-                    })
-                    .collect();
-                let loads: Vec<f64> = (0..p).map(|_| next() * 20.0).collect();
-                let expected = vec![10.0f64; p];
-                let alpha = next() * 50.0;
-                let reference = best_partition_with_margin(&counts, cost, alpha, &loads, &expected);
-                let fast = best_partition_in(&counts, cost, alpha, &loads, &expected, &mut scratch);
-                assert_eq!(fast.part, reference.part, "case {case}");
-                assert_eq!(
-                    fast.value.to_bits(),
-                    reference.value.to_bits(),
-                    "case {case}"
-                );
-                assert_eq!(
-                    fast.margin.to_bits(),
-                    reference.margin.to_bits(),
-                    "case {case}"
-                );
+                        let (loads, alpha): (Vec<f64>, f64) = if tie_heavy {
+                            (
+                                (0..p).map(|_| (next() * 3.0).floor()).collect(),
+                                [0.0, 1e-13, 1.0, 3.0][(case / 2) % 4],
+                            )
+                        } else {
+                            ((0..p).map(|_| next() * 20.0).collect(), next() * 50.0)
+                        };
+                        let expected = vec![10.0f64; p];
+                        let balance: Vec<f64> = loads
+                            .iter()
+                            .zip(&expected)
+                            .map(|(&w, &e)| balance_term(alpha, w, e))
+                            .collect();
+                        let reference =
+                            best_partition_with_margin(&counts, cost, alpha, &loads, &expected);
+                        let fast = best_partition_in(&counts, cost, &loads, &balance, &mut scratch);
+                        let at = format!("p {p}, matrix {k}, nonzero {nonzero}, case {case}");
+                        assert_eq!(fast.part, reference.part, "{at}");
+                        assert_eq!(fast.value.to_bits(), reference.value.to_bits(), "{at}");
+                        assert_eq!(fast.margin.to_bits(), reference.margin.to_bits(), "{at}");
+                    }
+                }
             }
         }
     }

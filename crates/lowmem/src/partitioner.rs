@@ -89,7 +89,8 @@ pub struct LowMemConfig {
     /// How the worker threads divide the stream: deterministic
     /// bulk-synchronous windows over a frozen index snapshot
     /// ([`ParallelMode::Bsp`], the default), or lock-free work stealing
-    /// against live shared loads ([`ParallelMode::WorkStealing`], faster
+    /// against shared loads synced every few placements
+    /// ([`ParallelMode::WorkStealing`], faster
     /// but non-deterministic above one thread).
     pub mode: ParallelMode,
     /// Seed of the MinHash hash family.

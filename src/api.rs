@@ -331,7 +331,7 @@ impl PartitionJob {
     /// Selects how the parallel drivers' worker threads divide the
     /// stream: deterministic bulk-synchronous windows
     /// ([`ParallelMode::Bsp`], the default) or lock-free work stealing
-    /// against live shared state ([`ParallelMode::WorkStealing`], faster
+    /// against shared state ([`ParallelMode::WorkStealing`], faster
     /// but not bit-reproducible above one thread).
     pub fn parallel_mode(mut self, mode: ParallelMode) -> Self {
         self.parallel.mode = mode;
@@ -1191,6 +1191,25 @@ mod tests {
                 .run(&hg),
             Err(PartitionError::InvalidConfig(_))
         ));
+        // non-finite tempering and refinement factors (NaN fails every
+        // ordered comparison, so range checks alone let it through)
+        for factor in [f64::NAN, f64::INFINITY] {
+            for bad in [
+                HyperPrawConfig {
+                    tempering_factor: factor,
+                    ..HyperPrawConfig::default()
+                },
+                HyperPrawConfig::default().with_refinement(RefinementPolicy::Factor(factor)),
+            ] {
+                assert!(matches!(
+                    PartitionJob::new(Algorithm::HyperPrawBasic)
+                        .partitions(4)
+                        .hyperpraw_config(bad)
+                        .run(&hg),
+                    Err(PartitionError::InvalidConfig(_))
+                ));
+            }
+        }
         // imbalance tolerance < 1.0
         assert!(matches!(
             PartitionJob::new(Algorithm::HyperPrawBasic)
