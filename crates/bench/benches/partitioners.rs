@@ -4,22 +4,20 @@
 //! the evaluation.
 //!
 //! The `hyperpraw_basic`/`hyperpraw_aware`/`hyperpraw_refine` entries time
-//! the unified restreaming engine's sequential strategy over the
-//! precomputed dedup adjacency; their `_adj` suffix dates from when an
-//! epoch-traversal provider was benchmarked beside it, and is kept so the
-//! ids stay comparable with earlier snapshots. The `hyperpraw_parallel`
-//! and `hyperpraw_steal` entries run the same driver with a bulk-
-//! synchronous or work-stealing schedule over a thread ladder (steal/1 is
-//! the sequential-dispatch floor). The
-//! `lowmem_bsp_sketched` entries time the engine combination none of the
-//! pre-engine drivers could express: bulk-synchronous workers over the
-//! sketched out-of-core connectivity provider. Medians land in
-//! `target/BENCH_partitioners.json`.
+//! the unified restreaming engine on one worker over the precomputed dedup
+//! adjacency; their `_adj` suffix dates from when an epoch-traversal
+//! provider was benchmarked beside it, and is kept so the ids stay
+//! comparable with earlier snapshots. The `hyperpraw_steal` entries run
+//! the same driver with the work-stealing schedule over a thread ladder
+//! (steal/1 is the sequential-dispatch floor). The `lowmem_sketched`
+//! entries time the engine combination none of the pre-engine drivers
+//! could express: the sketched out-of-core connectivity provider over the
+//! same thread ladder. Medians land in `target/BENCH_partitioners.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use hyperpraw_bench::Testbed;
-use hyperpraw_core::{HyperPraw, HyperPrawConfig, ParallelConfig};
+use hyperpraw_core::{HyperPraw, HyperPrawConfig};
 use hyperpraw_hypergraph::generators::{mesh_hypergraph, MeshConfig};
 use hyperpraw_lowmem::{LowMemConfig, LowMemPartitioner};
 use hyperpraw_multilevel::{MultilevelConfig, MultilevelPartitioner};
@@ -54,34 +52,24 @@ fn bench_partitioners(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("hyperpraw_refine_adj", p), |b| {
         b.iter(|| HyperPraw::basic(refine, p as u32).partition(&hg))
     });
-    for threads in [2usize, 4] {
-        group.bench_function(BenchmarkId::new("hyperpraw_parallel", threads), |b| {
-            b.iter(|| {
-                HyperPraw::new(HyperPrawConfig::default(), testbed.cost.clone())
-                    .with_parallel(ParallelConfig::with_threads(threads))
-                    .partition(&hg)
-            })
-        });
-    }
-    // The work-stealing strategy swept over a thread ladder: the 1-thread
+    // The work-stealing schedule swept over a thread ladder: the 1-thread
     // point is the sequential-dispatch floor, and the ratio steal/N over
-    // steal/1 is the strategy's own scaling (no BSP barriers to hide in).
+    // steal/1 is the schedule's own scaling.
     for threads in [1usize, 2, 4, 8] {
         group.bench_function(BenchmarkId::new("hyperpraw_steal", threads), |b| {
             b.iter(|| {
                 HyperPraw::new(HyperPrawConfig::default(), testbed.cost.clone())
-                    .with_parallel(ParallelConfig::stealing(threads))
+                    .with_threads(threads)
                     .partition(&hg)
             })
         });
     }
     for threads in [1usize, 2, 4, 8] {
-        group.bench_function(BenchmarkId::new("lowmem_bsp_sketched", threads), |b| {
+        group.bench_function(BenchmarkId::new("lowmem_sketched", threads), |b| {
             b.iter(|| {
                 LowMemPartitioner::new(
                     LowMemConfig {
                         threads,
-                        sync_interval: 512,
                         ..LowMemConfig::default()
                     },
                     testbed.cost.clone(),

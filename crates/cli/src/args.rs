@@ -8,16 +8,14 @@
 //! the two cannot drift apart. The table holds syntax only; checks that
 //! depend on the values live in [`crate::commands`].
 //!
-//! Algorithm and parallel-mode selection parse straight into the facade's
-//! [`Algorithm`] and [`ParallelMode`] types — the CLI owns no partitioner
-//! enums of its own.
+//! Algorithm selection parses straight into the facade's [`Algorithm`]
+//! type — the CLI owns no partitioner enums of its own.
 
 use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
 
 use hyperpraw::api::Algorithm;
-use hyperpraw::core::ParallelMode;
 
 use crate::serve::ServeOptions;
 
@@ -127,9 +125,6 @@ pub struct JobArgs {
     /// Worker threads (`None` keeps the driver's default; `0`
     /// auto-detects the machine parallelism). `lowmem` defaults to 1.
     pub threads: Option<usize>,
-    /// Worker scheduling: deterministic BSP windows or lock-free work
-    /// stealing.
-    pub parallel_mode: ParallelMode,
     /// RNG seed.
     pub seed: u64,
     /// Where to write the assignment (one partition id per line).
@@ -327,7 +322,6 @@ const JOB_FLAGS: &[Flag] = &[
     flag("--parts", "-p", "N"),
     MACHINE,
     flag("--threads", "-t", "N|0=auto"),
-    flag("--parallel-mode", "", "bsp | steal"),
     flag("--seed", "", "N"),
     flag("--output", "-o", "PATH"),
     flag("--json", "", ""),
@@ -650,9 +644,6 @@ impl Matches<'_> {
             parts: self.get("--parts")?.unwrap_or_default(),
             machine: self.machine()?,
             threads: self.get("--threads")?.or(threads),
-            parallel_mode: self
-                .parse("--parallel-mode", ParallelMode::parse)?
-                .unwrap_or_default(),
             seed: self.get("--seed")?.unwrap_or(DEFAULT_SEED),
             output: self.get("--output")?,
             json: self.switch("--json"),
@@ -714,7 +705,6 @@ mod tests {
                         parts,
                         machine,
                         threads,
-                        parallel_mode,
                         seed,
                         output,
                         json,
@@ -730,7 +720,6 @@ mod tests {
                 assert_eq!(machine, MachinePreset::Cloud);
                 assert!((imbalance - 1.05).abs() < 1e-12);
                 assert_eq!(threads, Some(3));
-                assert_eq!(parallel_mode, ParallelMode::Bsp);
                 assert_eq!(seed, 7);
                 assert_eq!(output, Some(PathBuf::from("out.txt")));
                 assert!(json);
@@ -774,43 +763,27 @@ mod tests {
     }
 
     #[test]
-    fn parses_parallel_mode_on_partition_and_lowmem() {
+    fn parses_threads_on_partition_and_lowmem() {
         match Cli::parse(argv(
-            "partition app.hgr --parts 8 -a parallel-basic --threads 4 --parallel-mode steal",
+            "partition app.hgr --parts 8 -a parallel-basic --threads 4",
         ))
         .unwrap()
         .command
         {
             Command::Partition(PartitionArgs { job, .. }) => {
-                assert_eq!(job.parallel_mode, ParallelMode::WorkStealing);
+                assert_eq!(job.threads, Some(4));
             }
             other => panic!("wrong command {other:?}"),
         }
-        match Cli::parse(argv(
-            "lowmem big.hgr --parts 8 --threads 0 --parallel-mode steal",
-        ))
-        .unwrap()
-        .command
-        {
-            Command::LowMem(LowMemArgs { job, .. }) => {
-                assert_eq!(job.parallel_mode, ParallelMode::WorkStealing);
-                assert_eq!(job.threads, Some(0), "0 reaches the facade's auto-detect");
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        match Cli::parse(argv("lowmem big.hgr --parts 8"))
+        match Cli::parse(argv("lowmem big.hgr --parts 8 --threads 0"))
             .unwrap()
             .command
         {
             Command::LowMem(LowMemArgs { job, .. }) => {
-                assert_eq!(job.parallel_mode, ParallelMode::Bsp);
+                assert_eq!(job.threads, Some(0), "0 reaches the facade's auto-detect");
             }
             other => panic!("wrong command {other:?}"),
         }
-        assert!(matches!(
-            Cli::parse(argv("partition app.hgr --parts 8 --parallel-mode chaotic")).unwrap_err(),
-            ParseError::InvalidValue { .. }
-        ));
     }
 
     #[test]
@@ -1097,11 +1070,11 @@ mod tests {
         same(
             partition,
             "partition a.hgr --parts 4 --algorithm aware --machine archer --imbalance 1.1 \
-             --parallel-mode bsp --seed 2019",
+             --seed 2019",
         );
         same(
             lowmem,
-            "lowmem a.hgr --parts 4 --budget-mib 64 --passes 1 --threads 1 --parallel-mode bsp \
+            "lowmem a.hgr --parts 4 --budget-mib 64 --passes 1 --threads 1 \
              --machine archer --seed 2019 --format auto",
         );
         same(
@@ -1126,8 +1099,8 @@ mod tests {
         // Option order does not matter.
         same(
             "partition a.hgr --parts 4 -a parallel -t 2 --json --json-out r.json -o o.txt \
-             --metrics-out m.json --parallel-mode steal --seed 5 --imbalance 1.05 -m cluster",
-            "partition a.hgr -m cluster --imbalance 1.05 --seed 5 --parallel-mode steal \
+             --metrics-out m.json --seed 5 --imbalance 1.05 -m cluster",
+            "partition a.hgr -m cluster --imbalance 1.05 --seed 5 \
              --metrics-out m.json -o o.txt --json-out r.json --json -t 2 -a parallel --parts 4",
         );
         same(
@@ -1137,8 +1110,8 @@ mod tests {
              --json -f transpose --no-prefetch --passes 2 --restream 9 --exact --parts 4",
         );
         same(
-            "lowmem a.hgr --parts 4 --rebuild-sketches --parallel-mode steal -m flat",
-            "lowmem a.hgr -m flat --parallel-mode steal --rebuild-sketches --parts 4",
+            "lowmem a.hgr --parts 4 --rebuild-sketches -m flat",
+            "lowmem a.hgr -m flat --rebuild-sketches --parts 4",
         );
         same(
             "generate m.hgr --seed 4 -n 9 -c 3",
@@ -1224,7 +1197,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(pairs, 44, "(subcommand, flag) pairs");
+        assert_eq!(pairs, 42, "(subcommand, flag) pairs");
         assert!(matches!(
             Cli::parse(argv("stats a.hgr --nope")),
             Err(ParseError::UnknownOption(_))

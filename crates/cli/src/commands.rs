@@ -226,7 +226,6 @@ fn run_job(
         .partitions(args.parts)
         .cost(cost)
         .seed(args.seed)
-        .parallel_mode(args.parallel_mode)
         .registry(&metrics);
     if let Some(t) = args.threads {
         if !job.algorithm().supports_threads() {
@@ -545,7 +544,7 @@ pub fn execute(cli: &Cli) -> Result<(), CommandError> {
 mod tests {
     use super::*;
     use crate::args::{BenchmarkArgs, ConvertArgs, PartitionArgs, ProfileArgs, StatsArgs};
-    use hyperpraw::core::{HyperPraw, HyperPrawConfig, ParallelMode};
+    use hyperpraw::core::{HyperPraw, HyperPrawConfig};
     use hyperpraw::hypergraph::HypergraphBuilder;
 
     /// A per-test scratch directory: unique per call (an atomic counter
@@ -593,7 +592,6 @@ mod tests {
             parts,
             machine: MachinePreset::Flat,
             threads: None,
-            parallel_mode: ParallelMode::Bsp,
             seed,
             output: None,
             json: false,
@@ -834,14 +832,14 @@ mod tests {
     }
 
     #[test]
-    fn lowmem_command_runs_bsp_sketched_restreaming_end_to_end() {
-        let dir = TempDir::new("lowmem_command_runs_bsp_sketched_restreaming_end_to_end");
-        // The acceptance scenario of the engine refactor: bulk-synchronous
+    fn lowmem_command_runs_threaded_sketched_restreaming_end_to_end() {
+        let dir = TempDir::new("lowmem_command_runs_threaded_sketched_restreaming_end_to_end");
+        // The acceptance scenario of the engine refactor: work-stealing
         // workers over the sketched connectivity provider, with multi-pass
         // restreaming and sketch rebuilds, straight from the CLI.
         let input = dir.sample_hgr();
-        let output = dir.path("lowmem_bsp_assignment.txt");
-        let json_out = dir.path("lowmem_bsp_report.json");
+        let output = dir.path("lowmem_threaded_assignment.txt");
+        let json_out = dir.path("lowmem_threaded_report.json");
         let mut args = LowMemArgs {
             passes: 2,
             rebuild_sketches: true,
@@ -919,7 +917,6 @@ mod tests {
             command: Command::Partition(PartitionArgs {
                 job: JobArgs {
                     threads: Some(4),
-                    parallel_mode: ParallelMode::WorkStealing,
                     json_out: Some(json_out.clone()),
                     ..job(input.clone(), 2, 1)
                 },
@@ -929,9 +926,7 @@ mod tests {
         })
         .unwrap();
         let json = fs::read_to_string(&json_out).unwrap();
-        assert!(json.contains("\"parallel_mode\": \"steal\""));
         assert!(json.contains("\"threads\": 4"));
-        assert!(json.contains("\"sync_interval\": null"));
     }
 
     #[test]

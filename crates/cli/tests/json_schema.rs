@@ -35,7 +35,7 @@ const REPORT_KEYS: [&str; 11] = [
 ];
 const QUALITY_KEYS: [&str; 5] = ["quality", "imbalance", "comm_cost", "hyperedge_cut", "soed"];
 const TELEMETRY_KEYS: [&str; 3] = ["partition_secs", "evaluate_secs", "metrics"];
-const CONFIG_KEYS: [&str; 15] = [
+const CONFIG_KEYS: [&str; 13] = [
     "partitions",
     "seed",
     "architecture_aware",
@@ -46,8 +46,6 @@ const CONFIG_KEYS: [&str; 15] = [
     "initial_alpha",
     "stream_order",
     "threads",
-    "parallel_mode",
-    "sync_interval",
     "index",
     "budget_bytes",
     "rebuild_sketches",

@@ -7,9 +7,9 @@
 //! the imbalance tolerance holds, then refine while the partitioning
 //! communication cost improves. What varies between deployment scenarios
 //! is *where the vertices come from*, *where the connectivity state
-//! lives*, and *how the stream is executed*. The engine factors those
-//! three axes into pluggable traits and keeps the loop itself in one
-//! place:
+//! lives*, and *how many workers run the stream*. The engine factors the
+//! first two axes into pluggable traits and the third into a worker count
+//! ([`EngineConfig::threads`]), and keeps the loop itself in one place:
 //!
 //! ```text
 //!                       ┌──────────────────────────────┐
@@ -20,45 +20,40 @@
 //!                       └──────┬───────┬───────┬───────┘
 //!            ┌─────────────────┘       │       └──────────────────┐
 //!            ▼                         ▼                          ▼
-//!   VertexSource             ConnectivityProvider        ExecutionStrategy
-//!   "which vertex next?"     "who are its neighbours?"   "who decides when?"
-//!   ├ InMemorySource         ├ AdjProvider (in-memory:   ├ Sequential
+//!   VertexSource             ConnectivityProvider        threads
+//!   "which vertex next?"     "who are its neighbours?"   "how many decide?"
+//!   ├ InMemorySource         ├ AdjProvider (in-memory:   ├ 1: sequential
 //!   │  (natural/shuffled/    │   precomputed dedup CSR,  │   (fresh info per
 //!   │   degree order)        │   flat scan; budgeted,    │    vertex,
 //!   └ StreamSource over any  │   hubs fall back to       │    deterministic)
-//!      io::stream source     │   epoch traversal)        ├ Chunked BSP
-//!      (on-disk transpose,   ├ lowmem ExactIndex         │   (frozen snapshot
-//!       InMemoryVertexStream)│   (hash maps, exact,      │    + local deltas,
-//!                            │    reversible)            │    deterministic)
-//!                            └ lowmem SketchIndex        └ WorkStealing
-//!                                (Bloom + MinHash,           (atomic cursor,
-//!                                 budget-bounded)            live assignment,
-//!                                                            synced loads,
-//!                                                            fast)
+//!      io::stream source     │   epoch traversal)        └ n > 1: work stealing
+//!      (on-disk transpose,   ├ lowmem ExactIndex             (atomic cursor,
+//!       InMemoryVertexStream)│   (hash maps, exact,           live assignment,
+//!                            │    reversible)                 synced loads,
+//!                            └ lowmem SketchIndex             fast)
+//!                                (Bloom + MinHash,
+//!                                 budget-bounded)
 //! ```
 //!
-//! The three strategies trade information freshness against wall-clock:
-//! **Sequential** is the paper's Algorithm 1 and the determinism anchor;
-//! **Chunked** (bulk-synchronous) keeps bit-reproducible parallel results
-//! by scoring frozen snapshots and applying at window boundaries;
-//! **WorkStealing** drops the barrier entirely — one thread team per
-//! batch claims fixed-size vertex chunks off a shared atomic cursor
+//! The worker count trades information freshness against wall-clock. One
+//! worker runs the paper's sequential Algorithm 1, the determinism anchor.
+//! More workers run **work stealing**: one thread team per batch claims
+//! fixed-size vertex chunks off a shared atomic cursor
 //! ([`hyperpraw_hypergraph::ChunkCursor`]) and scores against shared state
 //! at two freshness levels: peers' placements are visible per vertex
 //! through the atomic assignment, and peers' loads every few placements,
 //! because each worker scores against a local copy of the fixed-point load
 //! counters and syncs it (publishing its own deltas, taking in its peers')
 //! every 8 placements and at chunk ends. It accepts that bounded staleness
-//! in exchange for scaling without per-vertex traffic on shared cache
-//! lines. Both parallel strategies degenerate to the exact sequential
-//! placement loop at one worker.
+//! in exchange for scaling without barriers or per-vertex traffic on
+//! shared cache lines, and it is not bit-reproducible above one worker.
 //!
 //! Every combination is valid: [`crate::HyperPraw`] is
-//! `InMemorySource × AdjProvider` under `Sequential` by default and under
-//! `Chunked` or `WorkStealing` when given a [`crate::ParallelConfig`];
-//! `hyperpraw-lowmem` runs `StreamSource × IndexProvider` in any strategy
-//! — which is how bulk-synchronous *out-of-core* partitioning (a scenario
-//! none of the original drivers supported) falls out for free.
+//! `InMemorySource × AdjProvider` on one worker by default and on more
+//! when given [`crate::HyperPraw::with_threads`]; `hyperpraw-lowmem` runs
+//! `StreamSource × IndexProvider` at any worker count — which is how
+//! parallel *out-of-core* partitioning (a scenario none of the original
+//! drivers supported) falls out for free.
 //!
 //! `AdjProvider` answers the distinct-neighbour query with exact integer
 //! counts: it pays one parallel dedup up front, scans a flat list per
@@ -125,61 +120,16 @@ impl StopReason {
     }
 }
 
-/// How the engine executes one stream over the vertices.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecutionStrategy {
-    /// One decision at a time with fully fresh information — the paper's
-    /// sequential Algorithm 1.
-    Sequential,
-    /// Bulk-synchronous chunked streaming (the GraSP-style extension): the
-    /// stream is processed in windows of `sync_interval` vertices; within
-    /// a window, worker threads propose assignments for their slices
-    /// against a frozen snapshot of the assignment (tracking their own
-    /// load deltas, scaled by the worker count to anticipate concurrent
-    /// placements), and all proposals are applied at the window boundary.
-    Chunked {
-        /// Number of worker threads. A single worker degenerates to
-        /// [`ExecutionStrategy::Sequential`] (no snapshot is needed when
-        /// nobody races you).
-        num_threads: usize,
-        /// Vertices per synchronisation window; smaller windows mean
-        /// fresher information at the price of synchronisation overhead.
-        sync_interval: usize,
-    },
-    /// Lock-free work-stealing streaming: one thread team per batch claims
-    /// fixed-size vertex chunks off a shared atomic cursor and scores
-    /// against shared state with bounded staleness instead of full
-    /// synchronisation windows. The assignment is an `AtomicU32` slice
-    /// that every placement updates, so peers' placements are visible per
-    /// vertex. The per-part loads are fixed-point `AtomicI64` counters
-    /// that a worker copies locally and syncs with (one `fetch_add` per
-    /// touched part, then a re-read) every 8 placements and at chunk ends,
-    /// so peers' loads are visible within a few placements.
-    /// Fast and valid at any thread count, but (unlike
-    /// [`ExecutionStrategy::Chunked`]) not bit-reproducible across runs
-    /// for more than one worker; a single worker degenerates to
-    /// [`ExecutionStrategy::Sequential`] exactly.
-    WorkStealing {
-        /// Number of worker threads.
-        num_threads: usize,
-        /// Vertices per claimed chunk — the scheduling granularity, and
-        /// for index-backed providers nothing finer than the batch is
-        /// fresh. The assignment is shared per vertex and the loads every
-        /// 8 placements whatever the chunk. [`DEFAULT_STEAL_CHUNK`] suits
-        /// most runs.
-        chunk: usize,
-    },
-}
+/// Vertices per chunk a work-stealing worker claims off the shared cursor:
+/// small enough to self-balance across heterogeneous vertex degrees, large
+/// enough that the claim `fetch_add` never shows up in a profile. For
+/// index-backed providers nothing finer than the batch is fresh; the
+/// assignment is shared per vertex and the loads every few placements
+/// whatever the chunk.
+pub const STEAL_CHUNK: usize = 64;
 
-/// Default vertex-chunk size claimed per cursor hit by
-/// [`ExecutionStrategy::WorkStealing`] workers: small enough to
-/// self-balance across heterogeneous vertex degrees, large enough that the
-/// claim `fetch_add` never shows up in a profile.
-pub const DEFAULT_STEAL_CHUNK: usize = 64;
-
-/// Placements a [`ExecutionStrategy::WorkStealing`] worker makes between
-/// syncs with the shared load counters (publishing its own deltas, taking
-/// in its peers'). Syncing once per chunk instead let peers' loads go stale
+/// Placements a work-stealing worker makes between syncs with the shared
+/// load counters (publishing its own deltas, taking in its peers'). Syncing once per chunk instead let peers' loads go stale
 /// for up to a whole chunk, and on small instances a third of the runs
 /// then stopped refining after a handful of passes; every 8 placements
 /// matched the per-vertex quality at a fraction of the traffic.
@@ -234,8 +184,9 @@ pub struct EngineConfig {
     pub max_iterations: usize,
     /// Record per-iteration history.
     pub track_history: bool,
-    /// Sequential or bulk-synchronous execution.
-    pub strategy: ExecutionStrategy,
+    /// Worker threads per stream: `1` runs the paper's sequential loop,
+    /// more run the work-stealing schedule (see the [module docs](self)).
+    pub threads: usize,
     /// Round-robin restreaming start or one-pass streaming start.
     pub initial: InitialAssignment,
     /// Ask the provider to drop irreversible connectivity state at the
@@ -259,7 +210,7 @@ impl EngineConfig {
             imbalance_tolerance: config.imbalance_tolerance,
             max_iterations: config.max_iterations,
             track_history: config.track_history,
-            strategy: ExecutionStrategy::Sequential,
+            threads: 1,
             initial: InitialAssignment::RoundRobin,
             rebuild_between_passes: false,
             doubts: DoubtConfig::default(),
@@ -281,17 +232,11 @@ impl EngineConfig {
             imbalance_tolerance: f64::INFINITY,
             max_iterations: passes.max(1),
             track_history: false,
-            strategy: ExecutionStrategy::Sequential,
+            threads: 1,
             initial: InitialAssignment::Unassigned,
             rebuild_between_passes: false,
             doubts: DoubtConfig::default(),
         }
-    }
-
-    /// Replaces the execution strategy.
-    pub fn with_strategy(mut self, strategy: ExecutionStrategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Validates parameter ranges, returning the first problem found.
@@ -313,21 +258,8 @@ impl EngineConfig {
                 return Err(format!("refinement factor {f} out of (0, 1.5]"));
             }
         }
-        match self.strategy {
-            ExecutionStrategy::Sequential => {}
-            ExecutionStrategy::Chunked { num_threads, .. } => {
-                if num_threads == 0 {
-                    return Err("need at least one worker thread".into());
-                }
-            }
-            ExecutionStrategy::WorkStealing { num_threads, chunk } => {
-                if num_threads == 0 {
-                    return Err("need at least one worker thread".into());
-                }
-                if chunk == 0 {
-                    return Err("work-stealing chunk must be at least 1".into());
-                }
-            }
+        if self.threads == 0 {
+            return Err("need at least one worker thread".into());
         }
         Ok(())
     }
@@ -375,6 +307,9 @@ pub struct ExactCommCost<'a> {
     terms: Vec<f64>,
 }
 
+/// Fewest vertices one [`ExactCommCost`] worker evaluates.
+const COST_RANGE_MIN: usize = 1024;
+
 impl<'a> ExactCommCost<'a> {
     /// Creates a single-threaded model evaluating against `hg` by
     /// neighbourhood traversal.
@@ -420,7 +355,10 @@ impl CommCostModel for ExactCommCost<'_> {
         );
         self.terms.clear();
         self.terms.resize(n, 0.0);
-        let range_len = n.div_ceil(self.threads).max(1);
+        // However many threads were asked for, each worker gets at least
+        // COST_RANGE_MIN vertices: a thread per handful of vertices costs
+        // more to spawn than its terms take to compute.
+        let range_len = n.div_ceil(self.threads).max(COST_RANGE_MIN);
         let ranges: Vec<Mutex<(usize, &mut [f64])>> = self
             .terms
             .chunks_mut(range_len)
@@ -574,7 +512,7 @@ impl DoubtBuffer {
     }
 }
 
-/// Mutable state shared by every strategy: the assignment, the workloads
+/// Mutable state shared by both schedules: the assignment, the workloads
 /// `W(k)`, the expected workloads `E(k)` and the balance terms
 /// `α · W(k) / E(k)` the scorer reads, kept in step with the loads.
 #[derive(Clone, Debug)]
@@ -646,21 +584,18 @@ impl EngineState {
     }
 }
 
-/// Per-worker scratch buffers, created once per run and reused across
-/// windows and passes.
+/// Per-worker scratch buffers of the work-stealing schedule, created on
+/// first use and reused across batches and passes.
 struct WorkerSlot<T> {
     scratch: T,
     counts: Vec<u32>,
     value: ValueScratch,
-    /// The worker's view of the loads and their balance terms: the window
-    /// snapshot plus scaled local deltas (BSP), or the last sync with the
-    /// shared counters plus the worker's own placements (work stealing).
+    /// The worker's view of the loads and their balance terms: the last
+    /// sync with the shared counters plus the worker's own placements.
     loads_view: Vec<f64>,
     balance_view: Vec<f64>,
-    /// BSP: the worker's load deltas since the window snapshot.
-    delta: Vec<f64>,
-    /// Work stealing: the fixed-point load view, and the worker's
-    /// fixed-point deltas not yet published to the shared counters.
+    /// The fixed-point load view, and the worker's fixed-point deltas not
+    /// yet published to the shared counters.
     fixed_view: Vec<i64>,
     fixed_delta: Vec<i64>,
 }
@@ -673,14 +608,13 @@ impl<T> WorkerSlot<T> {
             value: ValueScratch::new(),
             loads_view: Vec::with_capacity(p),
             balance_view: Vec::with_capacity(p),
-            delta: vec![0.0; p],
             fixed_view: Vec::with_capacity(p),
             fixed_delta: vec![0; p],
         }
     }
 
-    /// Work stealing: copies the shared fixed-point loads into the local
-    /// views at the start of a batch.
+    /// Copies the shared fixed-point loads into the local views at the
+    /// start of a batch.
     fn load_shared(&mut self, shared: &[AtomicI64], alpha: f64, expected: &[f64]) {
         self.fixed_view.clear();
         self.fixed_view
@@ -697,8 +631,8 @@ impl<T> WorkerSlot<T> {
         );
     }
 
-    /// Work stealing: applies one of the worker's own load changes to the
-    /// local views and records it for publishing.
+    /// Applies one of the worker's own load changes to the local views and
+    /// records it for publishing.
     fn shift_local(&mut self, part: usize, d: i64, alpha: f64, expected: &[f64]) {
         self.fixed_view[part] += d;
         self.fixed_delta[part] += d;
@@ -706,8 +640,7 @@ impl<T> WorkerSlot<T> {
         self.balance_view[part] = balance_term(alpha, self.loads_view[part], expected[part]);
     }
 
-    /// Work stealing: publishes the pending deltas, one `fetch_add` per
-    /// touched part.
+    /// Publishes the pending deltas, one `fetch_add` per touched part.
     fn publish(&mut self, shared: &[AtomicI64]) {
         for (counter, d) in shared.iter().zip(&mut self.fixed_delta) {
             if *d != 0 {
@@ -717,10 +650,10 @@ impl<T> WorkerSlot<T> {
         }
     }
 
-    /// Work stealing: publishes the pending deltas, then takes in the
-    /// peers' published loads. Only parts a peer changed since the last
-    /// sync are re-derived, so the balance divisions stay proportional to
-    /// the placements made, not to `p`.
+    /// Publishes the pending deltas, then takes in the peers' published
+    /// loads. Only parts a peer changed since the last sync are re-derived,
+    /// so the balance divisions stay proportional to the placements made,
+    /// not to `p`.
     fn sync(&mut self, shared: &[AtomicI64], alpha: f64, expected: &[f64]) {
         self.publish(shared);
         for (k, counter) in shared.iter().enumerate() {
@@ -735,10 +668,9 @@ impl<T> WorkerSlot<T> {
 }
 
 /// One live (fresh-information) placement — the shared inner step of the
-/// sequential strategy, the single-worker chunked fallback and the doubt
-/// revisit: detach `record` from `current`, count against the live
-/// assignment, score, assign, attach. The caller handles move accounting
-/// and doubt collection.
+/// sequential schedule and the doubt revisit: detach `record` from
+/// `current`, count against the live assignment, score, assign, attach.
+/// The caller handles move accounting and doubt collection.
 #[allow(clippy::too_many_arguments)] // the engine's hot path shares one state bundle
 fn place_live<P: ConnectivityProvider>(
     cost: &CostMatrix,
@@ -788,9 +720,8 @@ pub struct Engine {
 
 /// Telemetry handles bound by [`Engine::with_registry`]. The default
 /// (disabled) handles make every recording below a no-op branch, and all
-/// recording happens at pass, window or batch granularity — never per
-/// vertex — so instrumentation cannot perturb placement decisions or
-/// determinism.
+/// recording happens at pass or batch granularity — never per vertex — so
+/// instrumentation cannot perturb placement decisions or determinism.
 #[derive(Clone, Debug, Default)]
 struct EngineMetrics {
     /// Wall-clock of each streaming pass, microseconds.
@@ -804,9 +735,9 @@ struct EngineMetrics {
     doubt_entries: Gauge,
     /// Doubt-buffer payload bytes at the end of the latest pass.
     doubt_bytes: Gauge,
-    /// Chunks claimed off the shared cursor (work-stealing strategy).
+    /// Chunks claimed off the shared cursor (work-stealing schedule).
     steal_chunk_claims: Counter,
-    /// Batch-boundary applies (work-stealing strategy).
+    /// Batch-boundary applies (work-stealing schedule).
     steal_batch_applies: Counter,
 }
 
@@ -852,7 +783,7 @@ impl Engine {
         &self.config
     }
 
-    /// Runs the restreaming loop: `source × provider × strategy` under the
+    /// Runs the restreaming loop: `source × provider × threads` under the
     /// communication-cost matrix `cost`, with per-pass costs evaluated by
     /// `cost_model`.
     pub fn run<S, P, C>(
@@ -980,7 +911,7 @@ impl Engine {
         let mut iterations = 0usize;
         let mut doubts = DoubtBuffer::default();
         let mut slots: Vec<WorkerSlot<P::Scratch>> = Vec::new();
-        let mut window: Vec<VertexRecord> = Vec::new();
+        let mut batch: Vec<VertexRecord> = Vec::new();
         let mut record = VertexRecord::default();
 
         for pass in 1..=config.max_iterations {
@@ -989,8 +920,10 @@ impl Engine {
             doubts.clear();
             source.reset()?;
             let pass_span = self.metrics.pass_time_us.span();
-            let moved = match config.strategy {
-                ExecutionStrategy::Sequential => self.sequential_pass(
+            // A single worker has nobody to race: it runs the live
+            // sequential loop, the determinism anchor.
+            let moved = if config.threads == 1 {
+                self.sequential_pass(
                     cost,
                     source,
                     provider,
@@ -998,46 +931,19 @@ impl Engine {
                     assigned,
                     &mut doubts,
                     &mut record,
-                )?,
-                ExecutionStrategy::Chunked {
-                    num_threads,
-                    sync_interval,
-                } => self.chunked_pass(
+                )?
+            } else {
+                self.steal_pass(
                     cost,
                     source,
                     provider,
                     &mut state,
                     assigned,
-                    num_threads,
-                    sync_interval,
+                    config.threads,
                     &mut doubts,
                     &mut slots,
-                    &mut window,
-                )?,
-                // A single stealing worker has nobody to race: run the
-                // live sequential loop so the result is bit-identical to
-                // `Sequential` (the n=1 determinism anchor).
-                ExecutionStrategy::WorkStealing { num_threads: 1, .. } => self.sequential_pass(
-                    cost,
-                    source,
-                    provider,
-                    &mut state,
-                    assigned,
-                    &mut doubts,
-                    &mut record,
-                )?,
-                ExecutionStrategy::WorkStealing { num_threads, chunk } => self.steal_pass(
-                    cost,
-                    source,
-                    provider,
-                    &mut state,
-                    assigned,
-                    num_threads,
-                    chunk,
-                    &mut doubts,
-                    &mut slots,
-                    &mut window,
-                )?,
+                    &mut batch,
+                )?
             };
             pass_span.finish();
             debug_assert!(state.balance_is_current(), "stale balance cache");
@@ -1246,169 +1152,6 @@ impl Engine {
         Ok(moved)
     }
 
-    /// One bulk-synchronous stream: windows of `sync_interval` vertices
-    /// are scored by worker threads against a frozen snapshot and applied
-    /// at the window boundary. Returns the number of moved vertices.
-    #[allow(clippy::too_many_arguments)] // the engine's hot path shares one state bundle
-    fn chunked_pass<S, P>(
-        &self,
-        cost: &CostMatrix,
-        source: &mut S,
-        provider: &mut P,
-        state: &mut EngineState,
-        assigned: bool,
-        num_threads: usize,
-        sync_interval: usize,
-        doubts: &mut DoubtBuffer,
-        slots: &mut Vec<WorkerSlot<P::Scratch>>,
-        window: &mut Vec<VertexRecord>,
-    ) -> IoResult<usize>
-    where
-        S: VertexSource,
-        P: ConnectivityProvider,
-    {
-        let p = state.loads.len();
-        let window_len = sync_interval.max(num_threads).max(1);
-        while slots.len() < num_threads {
-            slots.push(WorkerSlot::new(provider.new_scratch(), p));
-        }
-        let mut moved = 0usize;
-
-        loop {
-            // Fill the window, reusing the record allocations.
-            let mut len = 0usize;
-            while len < window_len {
-                if window.len() == len {
-                    window.push(VertexRecord::default());
-                }
-                if !source.next_into(&mut window[len])? {
-                    break;
-                }
-                len += 1;
-            }
-            if len == 0 {
-                break;
-            }
-            let records = &window[..len];
-            self.metrics.vertices_scored.add(len as u64);
-            let workers = num_threads.min(len).max(1);
-
-            if workers == 1 {
-                // No concurrency — decide with live information, exactly
-                // like the sequential strategy.
-                let slot = &mut slots[0];
-                for record in records {
-                    let current = assigned.then(|| state.partition.part_of(record.vertex));
-                    let scored = place_live(
-                        cost,
-                        provider,
-                        state,
-                        record,
-                        current,
-                        &mut slot.scratch,
-                        &mut slot.counts,
-                        &mut slot.value,
-                    );
-                    if current != Some(scored.part) {
-                        moved += 1;
-                    }
-                    doubts.offer(
-                        &self.config.doubts,
-                        provider,
-                        record,
-                        scored.part,
-                        scored.margin,
-                    );
-                }
-                continue;
-            }
-
-            let chunk_size = len.div_ceil(workers);
-            let chunks: Vec<&[VertexRecord]> = records.chunks(chunk_size).collect();
-            // Scale worker-local load deltas by the number of *live*
-            // chunks: each worker assumes its peers fill partitions at a
-            // similar rate, which prevents the herd effect where every
-            // worker dumps its slice into the same globally-lightest
-            // partition. A trailing window smaller than the worker count
-            // spawns fewer chunks and must scale by that smaller number,
-            // or its published deltas would overshoot.
-            let scale = chunks.len() as f64;
-            let snapshot = &state.partition;
-            let snapshot_loads = &state.loads;
-            let snapshot_balance = &state.balance;
-            let expected = &state.expected;
-            let alpha = state.alpha;
-            let provider_ref: &P = provider;
-
-            let proposals: Vec<Vec<(u32, f64)>> = thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .iter()
-                    .zip(slots.iter_mut())
-                    .map(|(chunk, slot)| {
-                        let chunk: &[VertexRecord] = chunk;
-                        scope.spawn(move || {
-                            slot.delta.iter_mut().for_each(|d| *d = 0.0);
-                            slot.loads_view.clear();
-                            slot.loads_view.extend_from_slice(snapshot_loads);
-                            slot.balance_view.clear();
-                            slot.balance_view.extend_from_slice(snapshot_balance);
-                            // Patches one part of the worker's view after a
-                            // local delta change.
-                            let patch = |slot: &mut WorkerSlot<P::Scratch>, k: usize| {
-                                slot.loads_view[k] = snapshot_loads[k] + slot.delta[k] * scale;
-                                slot.balance_view[k] =
-                                    balance_term(alpha, slot.loads_view[k], expected[k]);
-                            };
-                            let mut local: Vec<(u32, f64)> = Vec::with_capacity(chunk.len());
-                            for record in chunk {
-                                let w = record.weight;
-                                if assigned {
-                                    let current = snapshot.part_of(record.vertex) as usize;
-                                    slot.delta[current] -= w;
-                                    patch(slot, current);
-                                }
-                                provider_ref.count(
-                                    record,
-                                    snapshot,
-                                    &mut slot.scratch,
-                                    &mut slot.counts,
-                                );
-                                let scored = best_partition_in(
-                                    &slot.counts,
-                                    cost,
-                                    &slot.loads_view,
-                                    &slot.balance_view,
-                                    &mut slot.value,
-                                );
-                                let t = scored.part as usize;
-                                slot.delta[t] += w;
-                                patch(slot, t);
-                                local.push((scored.part, scored.margin));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("engine worker panicked"))
-                    .collect()
-            });
-
-            // Synchronise: apply every chunk's proposals in deterministic
-            // (chunk, in-chunk) order, publishing all load deltas —
-            // including the final partial window's — before the pass-end
-            // metrics are computed.
-            for (chunk, results) in chunks.iter().zip(&proposals) {
-                for (record, &(target, margin)) in chunk.iter().zip(results) {
-                    moved += apply_proposal(state, provider, record, assigned, target);
-                    doubts.offer(&self.config.doubts, provider, record, target, margin);
-                }
-            }
-        }
-        Ok(moved)
-    }
-
     /// One lock-free work-stealing stream: the engine thread fills a large
     /// batch of records, a thread team spawned **once per batch** claims
     /// fixed-size chunks of it off a shared [`ChunkCursor`], and every
@@ -1432,7 +1175,6 @@ impl Engine {
         state: &mut EngineState,
         assigned: bool,
         num_threads: usize,
-        chunk: usize,
         doubts: &mut DoubtBuffer,
         slots: &mut Vec<WorkerSlot<P::Scratch>>,
         batch: &mut Vec<VertexRecord>,
@@ -1442,9 +1184,6 @@ impl Engine {
         P: ConnectivityProvider,
     {
         let p = state.loads.len();
-        while slots.len() < num_threads {
-            slots.push(WorkerSlot::new(provider.new_scratch(), p));
-        }
         // The live assignment view covers the *full* graph — connectivity
         // counts read arbitrary neighbours, not just batch members.
         let view = AtomicAssignment::from_partition(&state.partition);
@@ -1461,9 +1200,12 @@ impl Engine {
         // (the lowmem indices) get small batches instead, bounding how far
         // their counts lag behind the stream.
         let batch_cap = if provider.live_counts() {
-            (chunk * num_threads * 16).max(8192)
+            STEAL_CHUNK
+                .saturating_mul(num_threads)
+                .saturating_mul(16)
+                .max(8192)
         } else {
-            (chunk * num_threads).max(256)
+            STEAL_CHUNK.saturating_mul(num_threads).max(256)
         };
         let mut moved = 0usize;
         let mut proposals: Vec<(u32, f64)> = Vec::new();
@@ -1486,7 +1228,12 @@ impl Engine {
             }
             let records = &batch[..len];
             self.metrics.vertices_scored.add(len as u64);
-            let workers = num_threads.min(len.div_ceil(chunk)).max(1);
+            // Only the workers that can claim a chunk get a slot (and a
+            // provider scratch), however many threads were requested.
+            let workers = num_threads.min(len.div_ceil(STEAL_CHUNK)).max(1);
+            while slots.len() < workers {
+                slots.push(WorkerSlot::new(provider.new_scratch(), p));
+            }
 
             // Re-sync the fixed-point counters from the authoritative f64
             // loads so rounding drift cannot accumulate across batches.
@@ -1495,7 +1242,7 @@ impl Engine {
             }
 
             {
-                let cursor = ChunkCursor::new(len, chunk);
+                let cursor = ChunkCursor::new(len, STEAL_CHUNK);
                 let cursor = &cursor;
                 let view = &view;
                 let shared = &shared_loads[..];
@@ -1592,7 +1339,7 @@ impl Engine {
     }
 }
 
-/// Applies one worker's proposal at a BSP window or steal batch boundary:
+/// Applies one worker's proposal at a steal batch boundary:
 /// detach `record` from its current part, assign it to `target` and attach.
 /// Returns 1 when the vertex moved, 0 otherwise.
 fn apply_proposal<P: ConnectivityProvider>(
@@ -1614,11 +1361,11 @@ fn apply_proposal<P: ConnectivityProvider>(
     usize::from(current != Some(target))
 }
 
-/// The work-stealing strategy's live shared assignment: one `AtomicU32`
+/// The work-stealing schedule's live shared assignment: one `AtomicU32`
 /// per vertex, read by worker-side connectivity counts (through
 /// [`AssignmentRef`]) and updated per placement with relaxed ordering —
 /// workers tolerate reading a peer's placement a few instructions late,
-/// which is exactly the bounded staleness the strategy trades for the
+/// which is exactly the bounded staleness the schedule trades for the
 /// missing barrier.
 struct AtomicAssignment {
     parts: Vec<AtomicU32>,
@@ -1692,6 +1439,69 @@ mod tests {
             };
             assert!(refinement.validate().is_err(), "refinement {factor}");
         }
+    }
+
+    /// An [`AdjProvider`] that counts the worker scratches it hands out.
+    struct ScratchCounting<'a> {
+        inner: AdjProvider<'a>,
+        scratches: std::sync::atomic::AtomicUsize,
+    }
+
+    impl ConnectivityProvider for ScratchCounting<'_> {
+        type Scratch = AdjScratch;
+
+        fn new_scratch(&self) -> AdjScratch {
+            self.scratches.fetch_add(1, AtomicOrdering::Relaxed);
+            self.inner.new_scratch()
+        }
+
+        fn needs_nets(&self) -> bool {
+            self.inner.needs_nets()
+        }
+
+        fn count<A: AssignmentRef>(
+            &self,
+            record: &VertexRecord,
+            assignment: &A,
+            scratch: &mut AdjScratch,
+            counts: &mut Vec<u32>,
+        ) {
+            self.inner.count(record, assignment, scratch, counts);
+        }
+    }
+
+    #[test]
+    fn worker_slots_are_bounded_by_the_workers_that_can_run() {
+        // A batch of 300 vertices splits into at most ⌈300 / STEAL_CHUNK⌉
+        // chunks, so no more workers can claim one, however many threads
+        // were requested: only those get a slot and a provider scratch.
+        let hg = mesh_hypergraph(&MeshConfig::new(300, 8));
+        let config = HyperPrawConfig {
+            max_iterations: 3,
+            ..HyperPrawConfig::default()
+        };
+        let engine = Engine::new(EngineConfig {
+            threads: 1_000_000,
+            ..EngineConfig::restreaming(&config)
+        });
+        let mut provider = ScratchCounting {
+            inner: AdjProvider::new(&hg, AdjacencyBudget::Auto),
+            scratches: Default::default(),
+        };
+        let run = engine
+            .run(
+                &CostMatrix::uniform(4),
+                &mut InMemorySource::new(&hg, config.stream_order, config.seed),
+                &mut provider,
+                &mut ExactCommCost::new(&hg),
+            )
+            .unwrap();
+        assert_eq!(run.partition.num_vertices(), 300);
+        let made = provider.scratches.load(AtomicOrdering::Relaxed);
+        assert!(
+            made <= 300usize.div_ceil(STEAL_CHUNK),
+            "{made} scratches for at most 5 runnable workers"
+        );
     }
 
     #[test]

@@ -20,12 +20,11 @@
 //!   (when supported) forget net incidences.
 //!
 //! Scoring reads take `&self` plus a worker-local
-//! [`ConnectivityProvider::Scratch`], so the parallel execution
-//! strategies can fan the same provider out across worker threads; all
-//! mutation happens on the engine thread at synchronisation points.
-//! [`AdjProvider`]'s scratch is O(1) until a hub is met (the traversal
-//! scratch materialises lazily), which keeps per-worker memory flat as
-//! the parallel strategies scale out.
+//! [`ConnectivityProvider::Scratch`], so the work-stealing schedule can
+//! fan the same provider out across worker threads; all mutation happens
+//! on the engine thread at batch boundaries. [`AdjProvider`]'s scratch is
+//! O(1) until a hub is met (the traversal scratch materialises lazily),
+//! which keeps per-worker memory flat as the schedule scales out.
 
 use hyperpraw_hypergraph::io::stream::VertexRecord;
 use hyperpraw_hypergraph::traversal::NeighborScratch;
@@ -36,7 +35,7 @@ use hyperpraw_hypergraph::{AdjacencyBudget, AssignmentRef, Hypergraph, NeighborA
 /// connectivity state.
 pub trait ConnectivityProvider: Sync {
     /// Worker-local scratch handed to every [`ConnectivityProvider::count`]
-    /// call; one instance per worker thread, reused across windows and
+    /// call; one instance per worker thread, reused across batches and
     /// passes.
     type Scratch: Send;
 
@@ -72,9 +71,8 @@ pub trait ConnectivityProvider: Sync {
 
     /// Writes the neighbour-partition counts `X_j(v)` for `record` into
     /// `counts` (cleared and resized), evaluated against `assignment` —
-    /// the live assignment in sequential execution, a frozen snapshot in
-    /// bulk-synchronous execution, or a live atomic view (with bounded
-    /// staleness) in work-stealing execution, which is why the parameter
+    /// the live assignment in sequential execution, or a live atomic view
+    /// (with bounded staleness) in work-stealing execution, which is why the parameter
     /// is any [`AssignmentRef`] rather than a concrete `Partition`. The
     /// vertex's own contribution must be excluded when the provider can
     /// tell (the adjacency provider excludes the vertex itself; index

@@ -39,20 +39,17 @@
 //!   deduplicated neighbour adjacency ([`engine::AdjProvider`], the one
 //!   in-memory provider), or `hyperpraw-lowmem`'s budget-bounded
 //!   exact/sketched connectivity indices;
-//! * **execution strategy** ([`engine::ExecutionStrategy`]) — sequential
-//!   decisions with fresh information, deterministic bulk-synchronous
-//!   windows scored by worker threads against a frozen snapshot, or
-//!   lock-free work stealing against live atomic shared state with
-//!   bounded staleness (the fast mode).
+//! * **worker count** ([`engine::EngineConfig::threads`]) — one worker
+//!   decides sequentially with fresh information; more run lock-free
+//!   work stealing against live atomic shared state with bounded
+//!   staleness.
 //!
 //! [`HyperPraw`] is the one in-memory driver:
-//! `InMemorySource × AdjProvider × Sequential` by default, with the
-//! chunked or work-stealing strategy swapped in by
-//! [`HyperPraw::with_parallel`] (a [`ParallelConfig`] whose
-//! [`ParallelMode`] picks the schedule). The `hyperpraw-lowmem` crate
-//! instantiates the streamed source with the sketched providers — in any
-//! strategy, which yields parallel out-of-core partitioning without a
-//! second copy of the loop.
+//! `InMemorySource × AdjProvider` on one worker by default, with more
+//! workers set by [`HyperPraw::with_threads`]. The `hyperpraw-lowmem`
+//! crate instantiates the streamed source with the sketched providers — at
+//! any worker count, which yields parallel out-of-core partitioning
+//! without a second copy of the loop.
 //!
 //! ```
 //! use hyperpraw_core::{HyperPraw, HyperPrawConfig};
@@ -85,7 +82,7 @@ pub mod value;
 
 pub use config::{HyperPrawConfig, RefinementPolicy, StreamOrder};
 pub use history::{IterationRecord, PartitionHistory, StreamPhase};
-pub use parallel::{ParallelConfig, ParallelMode};
+pub use parallel::ParallelMode;
 pub use restream::{HyperPraw, PartitionResult, StopReason};
 
 // Re-export the cost matrix type so downstream users do not need to depend
@@ -97,7 +94,7 @@ pub mod prelude {
     pub use crate::baselines;
     pub use crate::metrics::{partitioning_communication_cost, QualityReport};
     pub use crate::{
-        CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig, PartitionResult, RefinementPolicy,
-        StopReason, StreamOrder,
+        CostMatrix, HyperPraw, HyperPrawConfig, PartitionResult, RefinementPolicy, StopReason,
+        StreamOrder,
     };
 }

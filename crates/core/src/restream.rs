@@ -1,18 +1,16 @@
 //! The HyperPRAW restreaming driver (Algorithm 1) — the one in-memory
 //! instantiation of the generic [`crate::engine`]: in-memory vertex
 //! source × precomputed dedup adjacency ([`AdjProvider`] under
-//! [`AdjacencyBudget::Auto`]) × an execution strategy that is sequential
-//! by default, or one of the multi-worker schedules of
-//! [`crate::parallel`] when configured with [`HyperPraw::with_parallel`].
+//! [`AdjacencyBudget::Auto`]) × a worker count that is one (sequential)
+//! by default, or more (the work-stealing schedule of [`crate::parallel`])
+//! when configured with [`HyperPraw::with_threads`].
 
 use hyperpraw_hypergraph::{AdjacencyBudget, Hypergraph, NeighborAdjacency, Partition};
 use hyperpraw_topology::CostMatrix;
 
-use crate::engine::{
-    AdjProvider, Engine, EngineConfig, EngineRun, ExactCommCost, ExecutionStrategy, InMemorySource,
-};
+use crate::engine::{AdjProvider, Engine, EngineConfig, EngineRun, ExactCommCost, InMemorySource};
 use crate::history::PartitionHistory;
-use crate::{HyperPrawConfig, ParallelConfig};
+use crate::HyperPrawConfig;
 
 pub use crate::engine::StopReason;
 
@@ -42,12 +40,12 @@ pub struct PartitionResult {
 /// HyperPRAW-aware is obtained by passing a profiled cost matrix
 /// ([`CostMatrix::from_bandwidth`]); HyperPRAW-basic by passing
 /// [`CostMatrix::uniform`]. Each stream runs sequentially unless
-/// [`HyperPraw::with_parallel`] selects a multi-worker schedule.
+/// [`HyperPraw::with_threads`] asks for more workers.
 #[derive(Clone, Debug)]
 pub struct HyperPraw {
     config: HyperPrawConfig,
     cost: CostMatrix,
-    strategy: ExecutionStrategy,
+    threads: usize,
     registry: hyperpraw_telemetry::Registry,
 }
 
@@ -64,27 +62,22 @@ impl HyperPraw {
         Self {
             config,
             cost,
-            strategy: ExecutionStrategy::Sequential,
+            threads: 1,
             registry: hyperpraw_telemetry::Registry::disabled(),
         }
     }
 
-    /// Runs every stream under the multi-worker schedule `parallel` (the
-    /// paper's §8.2 extension, see [`crate::parallel`]) instead of
-    /// sequentially. One worker reproduces the sequential run bit for bit
-    /// in either [`crate::ParallelMode`].
+    /// Runs every stream on `threads` workers (the paper's §8.2
+    /// extension, see [`crate::parallel`]): more than one runs the
+    /// work-stealing schedule, and one reproduces the sequential run bit
+    /// for bit.
     ///
     /// # Panics
     ///
-    /// Panics if `parallel` fails validation (`num_threads == 0` or
-    /// `sync_interval == 0`).
-    pub fn with_parallel(mut self, parallel: ParallelConfig) -> Self {
-        parallel
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid parallel configuration: {e}"));
-        self.strategy = parallel
-            .mode
-            .strategy(parallel.num_threads, parallel.sync_interval);
+    /// Panics if `threads` is zero.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        assert!(threads > 0, "need at least one worker thread");
+        self.threads = threads;
         self
     }
 
@@ -124,27 +117,23 @@ impl HyperPraw {
 
     /// Runs the restreaming algorithm on a hypergraph.
     pub fn partition(&self, hg: &Hypergraph) -> PartitionResult {
-        let engine =
-            Engine::new(EngineConfig::restreaming(&self.config).with_strategy(self.strategy))
-                .with_registry(&self.registry);
+        let engine = Engine::new(EngineConfig {
+            threads: self.threads,
+            ..EngineConfig::restreaming(&self.config)
+        })
+        .with_registry(&self.registry);
         let mut source = InMemorySource::new(hg, self.config.stream_order, self.config.seed);
         // One precomputation serves both hot consumers: the per-visit
         // X_j(v) queries and the per-pass comm-cost evaluation. The build
-        // honours the strategy's threading contract — a sequential run
-        // stays single-threaded end to end, a parallel one never exceeds
-        // its worker count.
-        let max_threads = match self.strategy {
-            ExecutionStrategy::Sequential => 1,
-            ExecutionStrategy::Chunked { num_threads, .. }
-            | ExecutionStrategy::WorkStealing { num_threads, .. } => num_threads,
-        };
-        let adj = NeighborAdjacency::build_with_threads(hg, AdjacencyBudget::Auto, max_threads);
+        // honours the worker count — a sequential run stays single-threaded
+        // end to end, a parallel one never exceeds its worker count.
+        let adj = NeighborAdjacency::build_with_threads(hg, AdjacencyBudget::Auto, self.threads);
         let run = engine
             .run(
                 &self.cost,
                 &mut source,
                 &mut AdjProvider::from_adjacency(hg, &adj).with_registry(&self.registry),
-                &mut ExactCommCost::with_adjacency(hg, &adj).with_threads(max_threads),
+                &mut ExactCommCost::with_adjacency(hg, &adj).with_threads(self.threads),
             )
             .expect("in-memory sources cannot fail");
         PartitionResult::from_engine(run)

@@ -19,8 +19,7 @@ use hyperpraw_core::history::{IterationRecord, PartitionHistory, StreamPhase};
 use hyperpraw_core::metrics::partitioning_communication_cost;
 use hyperpraw_core::value::value_of;
 use hyperpraw_core::{
-    CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig, RefinementPolicy, StopReason,
-    StreamOrder,
+    CostMatrix, HyperPraw, HyperPrawConfig, RefinementPolicy, StopReason, StreamOrder,
 };
 use hyperpraw_hypergraph::generators::{
     mesh_hypergraph, powerlaw_hypergraph, random_hypergraph, MeshConfig, PowerLawConfig,
@@ -339,20 +338,20 @@ fn every_connectivity_provider_is_bit_identical_to_the_reference() {
 }
 
 #[test]
-fn bsp_with_one_worker_matches_the_sequential_engine_exactly() {
+fn one_worker_matches_the_sequential_engine_exactly() {
     let machine = MachineModel::archer_like(12);
     let cost = CostMatrix::from_bandwidth(&BandwidthMatrix::from_machine(&machine, 0.05, 2));
     for (name, hg) in suite() {
         let seq = HyperPraw::aware(HyperPrawConfig::default(), cost.clone()).partition(&hg);
-        let bsp = HyperPraw::new(HyperPrawConfig::default(), cost.clone())
-            .with_parallel(ParallelConfig::with_threads(1))
+        let one = HyperPraw::new(HyperPrawConfig::default(), cost.clone())
+            .with_threads(1)
             .partition(&hg);
         assert_eq!(
-            bsp.partition.assignment(),
+            one.partition.assignment(),
             seq.partition.assignment(),
             "{name}"
         );
-        assert_eq!(bsp.history, seq.history, "{name}");
-        assert_eq!(bsp.stop_reason, seq.stop_reason, "{name}");
+        assert_eq!(one.history, seq.history, "{name}");
+        assert_eq!(one.stop_reason, seq.stop_reason, "{name}");
     }
 }

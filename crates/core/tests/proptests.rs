@@ -3,9 +3,7 @@
 use proptest::prelude::*;
 
 use hyperpraw_core::metrics::partitioning_communication_cost;
-use hyperpraw_core::{
-    CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig, RefinementPolicy, StreamOrder,
-};
+use hyperpraw_core::{CostMatrix, HyperPraw, HyperPrawConfig, RefinementPolicy, StreamOrder};
 use hyperpraw_hypergraph::generators::{random_hypergraph, CardinalityDist, RandomConfig};
 use hyperpraw_hypergraph::{metrics, Hypergraph};
 use hyperpraw_topology::{BandwidthMatrix, MachineModel};
@@ -169,7 +167,7 @@ proptest! {
         // so the *partition* is not reproducible above one thread — but it
         // must always be a complete, consistently-bookkept partition.
         let result = HyperPraw::new(quick_config(seed), CostMatrix::uniform(p as usize))
-            .with_parallel(ParallelConfig::stealing(threads))
+            .with_threads(threads)
             .partition(&hg);
         // Every vertex assigned, every part id in range.
         prop_assert_eq!(result.partition.num_vertices(), hg.num_vertices());

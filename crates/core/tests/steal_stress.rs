@@ -7,7 +7,7 @@
 //! `RUST_BACKTRACE=1`, several times over, so a torn invariant names its
 //! culprit.
 
-use hyperpraw_core::{CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig};
+use hyperpraw_core::{CostMatrix, HyperPraw, HyperPrawConfig};
 use hyperpraw_hypergraph::generators::{mesh_hypergraph, MeshConfig};
 use hyperpraw_hypergraph::{Hypergraph, HypergraphBuilder};
 use hyperpraw_topology::{BandwidthMatrix, MachineModel};
@@ -22,7 +22,7 @@ fn hammer(hg: &Hypergraph, cost: &CostMatrix, label: &str) {
             ..HyperPrawConfig::default().with_seed(seed)
         };
         let result = HyperPraw::new(config, cost.clone())
-            .with_parallel(ParallelConfig::stealing(8))
+            .with_threads(8)
             .partition(hg);
 
         assert_eq!(result.partition.num_vertices(), hg.num_vertices());

@@ -54,10 +54,10 @@ impl std::error::Error for PartitionError {}
 /// Neighbourhood-counting helpers ([`crate::traversal::NeighborScratch`],
 /// [`crate::NeighborAdjacency`]) and the restreaming engine's connectivity
 /// providers are generic over this trait so the same counting code can run
-/// against a plain [`Partition`] (the sequential and bulk-synchronous
-/// drivers) or against a shared atomic assignment that other worker threads
-/// mutate concurrently (the work-stealing driver, which tolerates bounded
-/// staleness in the counts it reads).
+/// against a plain [`Partition`] (the sequential schedule) or against a
+/// shared atomic assignment that other worker threads mutate concurrently
+/// (the work-stealing schedule, which tolerates bounded staleness in the
+/// counts it reads).
 pub trait AssignmentRef {
     /// The partition vertex `v` currently lives in.
     fn part_of(&self, v: VertexId) -> u32;

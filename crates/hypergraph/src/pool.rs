@@ -7,8 +7,7 @@
 //! *steal* the share a slow worker never claims. This module holds the two
 //! pieces of that skeleton — [`ChunkCursor`] (the lock-free chunk
 //! dispenser) and [`run_on_workers`] (spawn once, run the calling thread
-//! as worker 0, join) — so both consumers spawn threads once per batch
-//! instead of once per synchronisation window.
+//! as worker 0, join) — so both consumers spawn threads once per batch.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};

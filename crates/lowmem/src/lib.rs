@@ -24,9 +24,9 @@
 //!   supplies the value function, the α handling, the bounded
 //!   low-confidence revisit buffer, out-of-core restreaming passes
 //!   ([`LowMemConfig::passes`], with optional sketch rebuilding between
-//!   passes to shed staleness), and the bulk-synchronous execution
-//!   strategy ([`LowMemConfig::threads`] — parallel out-of-core
-//!   partitioning over the frozen index),
+//!   passes to shed staleness), and the work-stealing schedule
+//!   ([`LowMemConfig::threads`] — parallel out-of-core partitioning over
+//!   the shared index),
 //! * HyperPRAW-aware vs. -basic is again just a [`CostMatrix`] away.
 //!
 //! Everything is sized from a single [`MemoryBudget`]; peak sketch memory

@@ -1,13 +1,13 @@
 //! The memory-bounded streaming partitioner — a thin instantiation of
 //! `hyperpraw-core`'s generic restreaming engine: any
 //! [`VertexStream`] as the vertex source × an [`IndexProvider`] over
-//! budgeted connectivity state × the sequential or bulk-synchronous
-//! execution strategy.
+//! budgeted connectivity state × one worker (sequential) or several (work
+//! stealing).
 
 use hyperpraw_core::engine::{
     DoubtConfig, Engine, EngineConfig, InitialAssignment, NoCommCost, StreamSource,
 };
-use hyperpraw_core::{CostMatrix, HyperPrawConfig, ParallelMode};
+use hyperpraw_core::{CostMatrix, HyperPrawConfig};
 use hyperpraw_hypergraph::io::stream::VertexStream;
 use hyperpraw_hypergraph::io::IoResult;
 use hyperpraw_hypergraph::{Hypergraph, Partition};
@@ -78,21 +78,12 @@ pub struct LowMemConfig {
     /// vertices move (the Taşyaran-style rebuild). Ignored by
     /// [`IndexKind::Exact`], whose state is never stale.
     pub rebuild_sketches: bool,
-    /// Worker threads for the parallel execution strategies. `1` streams
-    /// sequentially; larger values score vertices in parallel against the
-    /// shared index — parallel out-of-core partitioning.
+    /// Worker threads per pass. `1` streams sequentially; larger values
+    /// run the engine's work-stealing schedule, scoring vertices in
+    /// parallel against the shared index and loads synced every few
+    /// placements — parallel out-of-core partitioning, not
+    /// bit-reproducible above one thread.
     pub threads: usize,
-    /// Vertices per synchronisation window when `threads > 1` and
-    /// [`LowMemConfig::mode`] is [`ParallelMode::Bsp`]; ignored by
-    /// [`ParallelMode::WorkStealing`].
-    pub sync_interval: usize,
-    /// How the worker threads divide the stream: deterministic
-    /// bulk-synchronous windows over a frozen index snapshot
-    /// ([`ParallelMode::Bsp`], the default), or lock-free work stealing
-    /// against shared loads synced every few placements
-    /// ([`ParallelMode::WorkStealing`], faster
-    /// but non-deterministic above one thread).
-    pub mode: ParallelMode,
     /// Seed of the MinHash hash family.
     pub seed: u64,
 }
@@ -108,8 +99,6 @@ impl Default for LowMemConfig {
             passes: 1,
             rebuild_sketches: false,
             threads: 1,
-            sync_interval: 4096,
-            mode: ParallelMode::Bsp,
             seed: 0,
         }
     }
@@ -129,9 +118,6 @@ impl LowMemConfig {
         }
         if self.threads == 0 {
             return Err("need at least one worker thread".into());
-        }
-        if self.sync_interval == 0 {
-            return Err("synchronisation interval must be at least 1 vertex".into());
         }
         if self.round_robin_prior && self.index == IndexKind::Sketched {
             return Err(
@@ -183,8 +169,8 @@ pub struct LowMemResult {
 /// adjusted when the index sketches one) and revisits them once at the end
 /// against the final connectivity state; optional extra passes restream
 /// the whole input out-of-core, optionally rebuilding the sketches
-/// between passes; optional worker threads score synchronisation windows
-/// in parallel (bulk-synchronous out-of-core partitioning).
+/// between passes; optional worker threads score the stream in parallel
+/// (work-stealing out-of-core partitioning).
 #[derive(Clone, Debug)]
 pub struct LowMemPartitioner {
     config: LowMemConfig,
@@ -275,12 +261,7 @@ impl LowMemPartitioner {
             // the low-confidence entries happen to be high-degree hubs.
             byte_bound: plan.restream_bytes,
         };
-        if self.config.threads > 1 {
-            engine_config.strategy = self
-                .config
-                .mode
-                .strategy(self.config.threads, self.config.sync_interval);
-        }
+        engine_config.threads = self.config.threads;
 
         let run = Engine::new(engine_config).run(
             &self.cost,
@@ -538,31 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn bsp_threads_produce_valid_deterministic_partitions() {
-        let hg = mesh_hypergraph(&MeshConfig::new(900, 8));
-        let run = || {
-            LowMemPartitioner::basic(
-                LowMemConfig {
-                    threads: 4,
-                    sync_interval: 128,
-                    ..config(IndexKind::Sketched)
-                },
-                6,
-            )
-            .partition_hypergraph(&hg)
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(
-            a.partition, b.partition,
-            "BSP streaming must be deterministic"
-        );
-        assert_eq!(a.partition.num_vertices(), 900);
-        let rr = Partition::round_robin(hg.num_vertices(), 6);
-        assert!(metrics::soed(&hg, &a.partition) < metrics::soed(&hg, &rr));
-    }
-
-    #[test]
     fn work_stealing_threads_produce_valid_partitions() {
         let hg = mesh_hypergraph(&MeshConfig::new(900, 8));
         for threads in [2usize, 8] {
@@ -573,7 +529,6 @@ mod tests {
                 LowMemConfig {
                     threads,
                     passes: 2,
-                    mode: ParallelMode::WorkStealing,
                     ..config(IndexKind::Sketched)
                 },
                 6,
@@ -585,25 +540,6 @@ mod tests {
             let rr = Partition::round_robin(hg.num_vertices(), 6);
             assert!(metrics::soed(&hg, &result.partition) < metrics::soed(&hg, &rr));
         }
-    }
-
-    #[test]
-    fn single_stealing_thread_matches_the_sequential_stream() {
-        // `threads: 1` never engages a parallel strategy, so the mode must
-        // be irrelevant; pin the work-stealing config to the sequential
-        // result bit for bit.
-        let hg = mesh_hypergraph(&MeshConfig::new(400, 8));
-        let sequential =
-            LowMemPartitioner::basic(config(IndexKind::Sketched), 6).partition_hypergraph(&hg);
-        let stealing = LowMemPartitioner::basic(
-            LowMemConfig {
-                mode: ParallelMode::WorkStealing,
-                ..config(IndexKind::Sketched)
-            },
-            6,
-        )
-        .partition_hypergraph(&hg);
-        assert_eq!(sequential.partition, stealing.partition);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! counts are "how many of the vertex's nets already touch partition `j`",
 //! served by an exact hash-map index or Bloom/MinHash sketches. Because
 //! scoring reads take `&self`, the provider composes with the engine's
-//! bulk-synchronous strategy — worker threads query the frozen index
-//! concurrently and all mutation happens at synchronisation points.
+//! work-stealing schedule — worker threads query the index concurrently
+//! and all mutation happens on the engine thread at batch boundaries.
 
 use hyperpraw_core::engine::ConnectivityProvider;
 use hyperpraw_hypergraph::io::stream::VertexRecord;
@@ -65,7 +65,7 @@ impl ConnectivityProvider for IndexProvider {
 
     fn live_counts(&self) -> bool {
         // Counts come from the index, which only changes at attach/detach
-        // on the engine thread — the work-stealing strategy must bound its
+        // on the engine thread — the work-stealing schedule must bound its
         // batches so the index never lags far behind the stream.
         false
     }

@@ -32,8 +32,8 @@ use std::time::Instant;
 
 use hyperpraw_core::metrics::QualityReport;
 use hyperpraw_core::{
-    baselines, CostMatrix, HyperPraw, HyperPrawConfig, ParallelConfig, ParallelMode,
-    PartitionHistory, RefinementPolicy, StreamOrder,
+    baselines, CostMatrix, HyperPraw, HyperPrawConfig, ParallelMode, PartitionHistory,
+    RefinementPolicy, StreamOrder,
 };
 use hyperpraw_dynamic::{DynamicConfig, DynamicError, DynamicPartitioner, GraphUpdate};
 use hyperpraw_hypergraph::io::stream::VertexStream;
@@ -60,9 +60,8 @@ pub enum Algorithm {
     /// Sequential HyperPRAW restreaming with a profiled cost matrix.
     HyperPrawAware,
     /// Multi-threaded HyperPRAW, uniform cost matrix: each stream runs on
-    /// worker threads under the [`ParallelMode`] set by
-    /// [`PartitionJob::parallel_mode`] (bulk-synchronous windows by
-    /// default, or work stealing).
+    /// [`PartitionJob::threads`] workers under the engine's work-stealing
+    /// schedule.
     ParallelBasic,
     /// Multi-threaded HyperPRAW, profiled cost matrix; scheduled like
     /// [`Algorithm::ParallelBasic`].
@@ -214,7 +213,8 @@ pub struct PartitionJob {
     partitions: Option<u32>,
     cost: Option<CostMatrix>,
     hyperpraw: HyperPrawConfig,
-    parallel: ParallelConfig,
+    /// Worker threads of the `Parallel*` algorithms.
+    parallel_threads: usize,
     lowmem: LowMemConfig,
     multilevel: MultilevelConfig,
     prefetch: bool,
@@ -230,7 +230,7 @@ impl PartitionJob {
             partitions: None,
             cost: None,
             hyperpraw: HyperPrawConfig::default(),
-            parallel: ParallelConfig::default(),
+            parallel_threads: 4,
             lowmem: LowMemConfig::default(),
             multilevel: MultilevelConfig::default(),
             prefetch: true,
@@ -315,27 +315,14 @@ impl PartitionJob {
     /// platform cannot report one); the resolved count is what the
     /// report's [`EffectiveConfig::threads`] records.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.parallel.num_threads = threads;
+        self.parallel_threads = threads;
         self.lowmem.threads = threads;
         self
     }
 
-    /// Sets the synchronisation window of the bulk-synchronous
-    /// ([`ParallelMode::Bsp`]) parallel drivers.
-    pub fn sync_interval(mut self, interval: usize) -> Self {
-        self.parallel.sync_interval = interval;
-        self.lowmem.sync_interval = interval;
-        self
-    }
-
-    /// Selects how the parallel drivers' worker threads divide the
-    /// stream: deterministic bulk-synchronous windows
-    /// ([`ParallelMode::Bsp`], the default) or lock-free work stealing
-    /// against shared state ([`ParallelMode::WorkStealing`], faster
-    /// but not bit-reproducible above one thread).
-    pub fn parallel_mode(mut self, mode: ParallelMode) -> Self {
-        self.parallel.mode = mode;
-        self.lowmem.mode = mode;
+    /// Does nothing: work stealing is the only parallel schedule. Kept
+    /// only so existing callers compile.
+    pub fn parallel_mode(self, _mode: ParallelMode) -> Self {
         self
     }
 
@@ -367,12 +354,6 @@ impl PartitionJob {
     /// Replaces the full HyperPRAW configuration (in-memory drivers).
     pub fn hyperpraw_config(mut self, config: HyperPrawConfig) -> Self {
         self.hyperpraw = config;
-        self
-    }
-
-    /// Replaces the full parallel-driver configuration.
-    pub fn parallel_config(mut self, config: ParallelConfig) -> Self {
-        self.parallel = config;
         self
     }
 
@@ -420,13 +401,13 @@ impl PartitionJob {
     /// validation path goes through this first, so the drivers and the
     /// report's [`EffectiveConfig`] always see the real thread count.
     fn resolved_job(&self) -> Cow<'_, Self> {
-        if self.parallel.num_threads > 0 && self.lowmem.threads > 0 {
+        if self.parallel_threads > 0 && self.lowmem.threads > 0 {
             return Cow::Borrowed(self);
         }
         let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
         let mut job = self.clone();
-        if job.parallel.num_threads == 0 {
-            job.parallel.num_threads = auto;
+        if job.parallel_threads == 0 {
+            job.parallel_threads = auto;
         }
         if job.lowmem.threads == 0 {
             job.lowmem.threads = auto;
@@ -458,9 +439,6 @@ impl PartitionJob {
             | Algorithm::ParallelBasic
             | Algorithm::ParallelAware => {
                 self.hyperpraw.validate().map_err(invalid)?;
-                if self.parallel_streams() {
-                    self.parallel.validate().map_err(invalid)?;
-                }
             }
             Algorithm::LowMemExact | Algorithm::LowMemSketched => {
                 self.lowmem_with_index().validate().map_err(invalid)?;
@@ -494,7 +472,7 @@ impl PartitionJob {
                 let mut driver = HyperPraw::new(self.hyperpraw, self.driver_cost(p))
                     .with_registry(&self.registry);
                 if self.parallel_streams() {
-                    driver = driver.with_parallel(self.parallel);
+                    driver = driver.with_threads(self.parallel_threads);
                 }
                 let result = driver.partition(hg);
                 (
@@ -843,25 +821,11 @@ impl PartitionJob {
             },
             stream_order: restreaming.then(|| self.hyperpraw.stream_order.name()),
             threads: if parallel {
-                self.parallel.num_threads
+                self.parallel_threads
             } else if lowmem {
                 self.lowmem.threads
             } else {
                 1
-            },
-            parallel_mode: if parallel {
-                Some(self.parallel.mode.name())
-            } else if lowmem && self.lowmem.threads > 1 {
-                Some(self.lowmem.mode.name())
-            } else {
-                None
-            },
-            sync_interval: if parallel && self.parallel.mode == ParallelMode::Bsp {
-                Some(self.parallel.sync_interval)
-            } else if lowmem && self.lowmem.threads > 1 && self.lowmem.mode == ParallelMode::Bsp {
-                Some(self.lowmem.sync_interval)
-            } else {
-                None
             },
             index: lowmem.then(|| self.lowmem_with_index().index.name()),
             budget_bytes: lowmem.then_some(self.lowmem.budget.bytes),
@@ -1238,14 +1202,6 @@ mod tests {
                 .run(&hg),
             Err(PartitionError::InvalidConfig(_))
         ));
-        // zero-vertex synchronisation window
-        assert!(matches!(
-            PartitionJob::new(Algorithm::ParallelBasic)
-                .partitions(4)
-                .sync_interval(0)
-                .run(&hg),
-            Err(PartitionError::InvalidConfig(_))
-        ));
         // zero lowmem passes
         assert!(matches!(
             PartitionJob::new(Algorithm::LowMemSketched)
@@ -1315,35 +1271,38 @@ mod tests {
     }
 
     #[test]
-    fn parallel_mode_lands_in_the_effective_config_and_json() {
+    fn threads_land_in_the_effective_config_and_json() {
         let hg = mesh_hypergraph(&MeshConfig::new(200, 6));
-        let bsp = PartitionJob::new(Algorithm::ParallelBasic)
+        let parallel = PartitionJob::new(Algorithm::ParallelBasic)
             .partitions(4)
             .threads(2)
             .run(&hg)
             .unwrap();
-        assert_eq!(bsp.config.parallel_mode, Some("bsp"));
-        assert!(bsp.config.sync_interval.is_some());
+        assert_eq!(parallel.config.threads, 2);
+        assert_eq!(parallel.partition.num_parts(), 4);
+        let json = parallel.to_json();
+        assert!(json.contains("\"threads\": 2"));
+        assert!(
+            !json.contains("parallel_mode"),
+            "the worker count is the whole parallel configuration"
+        );
 
-        let steal = PartitionJob::new(Algorithm::ParallelBasic)
+        // The retained mode setter changes nothing.
+        let one = PartitionJob::new(Algorithm::ParallelBasic)
             .partitions(4)
-            .threads(2)
+            .threads(1);
+        let plain = one.run(&hg).unwrap();
+        let with_mode = one
             .parallel_mode(ParallelMode::WorkStealing)
             .run(&hg)
             .unwrap();
-        assert_eq!(steal.config.parallel_mode, Some("steal"));
-        assert_eq!(
-            steal.config.sync_interval, None,
-            "work stealing has no synchronisation windows"
-        );
-        assert!(steal.to_json().contains("\"parallel_mode\": \"steal\""));
-        assert_eq!(steal.partition.num_parts(), 4);
+        assert_eq!(plain.partition, with_mode.partition);
 
         let sequential = PartitionJob::new(Algorithm::HyperPrawBasic)
             .partitions(4)
             .run(&hg)
             .unwrap();
-        assert_eq!(sequential.config.parallel_mode, None);
+        assert_eq!(sequential.config.threads, 1);
     }
 
     #[test]

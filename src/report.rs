@@ -93,16 +93,10 @@ pub struct EffectiveConfig {
     pub initial_alpha: Option<f64>,
     /// Stream order name (in-memory HyperPRAW drivers).
     pub stream_order: Option<&'static str>,
-    /// Worker threads (1 = sequential); a `threads(0)` auto-detect request
-    /// is resolved to the real machine parallelism before it lands here.
+    /// Worker threads (1 = sequential, more = work stealing); a
+    /// `threads(0)` auto-detect request is resolved to the real machine
+    /// parallelism before it lands here.
     pub threads: usize,
-    /// Worker scheduling of the parallel drivers: `"bsp"` (deterministic
-    /// bulk-synchronous windows) or `"steal"` (lock-free work stealing).
-    /// `None` for single-threaded and non-parallel drivers.
-    pub parallel_mode: Option<&'static str>,
-    /// Vertices per synchronisation window (bulk-synchronous mode only —
-    /// work stealing has no windows).
-    pub sync_interval: Option<usize>,
     /// Connectivity index kind (lowmem drivers).
     pub index: Option<&'static str>,
     /// Memory budget in bytes (lowmem drivers).
@@ -373,8 +367,6 @@ impl ToJson for EffectiveConfig {
                 .field("initial_alpha", self.initial_alpha)
                 .field("stream_order", self.stream_order)
                 .field("threads", self.threads)
-                .field("parallel_mode", self.parallel_mode)
-                .field("sync_interval", self.sync_interval)
                 .field("index", self.index)
                 .field("budget_bytes", self.budget_bytes)
                 .field("rebuild_sketches", self.rebuild_sketches);
@@ -453,8 +445,6 @@ pub(crate) mod tests {
                 initial_alpha: None,
                 stream_order: None,
                 threads: 1,
-                parallel_mode: None,
-                sync_interval: None,
                 index: None,
                 budget_bytes: None,
                 rebuild_sketches: None,

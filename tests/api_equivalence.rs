@@ -58,39 +58,26 @@ fn hyperpraw_aware_matches_the_direct_driver_bit_for_bit() {
 
 #[test]
 fn parallel_variants_match_the_direct_driver_bit_for_bit() {
-    // Both schedules of the merged dispatch arm: deterministic BSP at any
-    // thread count, and work stealing at the one thread where it is
-    // reproducible.
+    // Work stealing at the one thread where it is reproducible; above one
+    // thread its partitions differ from run to run.
     let hg = instance();
     let cost = testbed_cost(P as usize, 5);
-    for parallel in [
-        ParallelConfig {
-            num_threads: 3,
-            sync_interval: 256,
-            mode: ParallelMode::Bsp,
-        },
-        ParallelConfig::stealing(1),
+    for (algorithm, driver_cost) in [
+        (Algorithm::ParallelBasic, CostMatrix::uniform(P as usize)),
+        (Algorithm::ParallelAware, cost.clone()),
     ] {
-        for (algorithm, driver_cost) in [
-            (Algorithm::ParallelBasic, CostMatrix::uniform(P as usize)),
-            (Algorithm::ParallelAware, cost.clone()),
-        ] {
-            let direct = HyperPraw::new(HyperPrawConfig::default().with_seed(SEED), driver_cost)
-                .with_parallel(parallel)
-                .partition(&hg);
-            let api = PartitionJob::new(algorithm)
-                .cost(cost.clone())
-                .seed(SEED)
-                .threads(parallel.num_threads)
-                .sync_interval(parallel.sync_interval)
-                .parallel_mode(parallel.mode)
-                .run(&hg)
-                .unwrap();
-            let label = format!("{algorithm:?}/{}", parallel.mode.name());
-            assert_eq!(api.partition, direct.partition, "{label}");
-            assert_eq!(api.history, direct.history, "{label}");
-            assert_eq!(api.iterations, direct.iterations, "{label}");
-        }
+        let direct = HyperPraw::new(HyperPrawConfig::default().with_seed(SEED), driver_cost)
+            .with_threads(1)
+            .partition(&hg);
+        let api = PartitionJob::new(algorithm)
+            .cost(cost.clone())
+            .seed(SEED)
+            .threads(1)
+            .run(&hg)
+            .unwrap();
+        assert_eq!(api.partition, direct.partition, "{algorithm:?}");
+        assert_eq!(api.history, direct.history, "{algorithm:?}");
+        assert_eq!(api.iterations, direct.iterations, "{algorithm:?}");
     }
 }
 
@@ -130,7 +117,8 @@ fn lowmem_variants_match_the_direct_driver_in_memory() {
 #[test]
 fn lowmem_on_disk_stream_matches_the_direct_driver_bit_for_bit() {
     // The same .hgr file is transposed twice; the job dispatch must place
-    // every vertex exactly like the direct driver, multi-pass BSP included.
+    // every vertex exactly like the direct driver, multi-pass restreaming
+    // with sketch rebuilds included.
     let hg = instance();
     let path = std::env::temp_dir().join(format!(
         "hyperpraw_api_equivalence_{}.hgr",
@@ -149,8 +137,6 @@ fn lowmem_on_disk_stream_matches_the_direct_driver_bit_for_bit() {
         index: IndexKind::Sketched,
         passes: 2,
         rebuild_sketches: true,
-        threads: 3,
-        sync_interval: 128,
         seed: SEED,
         ..LowMemConfig::default()
     };

@@ -76,14 +76,14 @@ fn disk_stream_partitioning_respects_the_budget_and_beats_round_robin() {
 }
 
 #[test]
-fn bsp_multi_pass_out_of_core_restreaming_runs_from_a_disk_stream() {
+fn threaded_multi_pass_out_of_core_restreaming_runs_from_a_disk_stream() {
     // The engine combination none of the pre-refactor drivers could
-    // express: bulk-synchronous worker threads scoring a frozen sketched
+    // express: work-stealing worker threads scoring a shared sketched
     // connectivity index over an on-disk vertex stream, restreamed for
     // several passes with the sketches rebuilt in between — one job away.
     let hg = PaperInstance::TwoCubesSphere.generate(&SuiteConfig::scaled(0.02));
     let path = std::env::temp_dir().join(format!(
-        "hyperpraw_lowmem_bsp_pipeline_{}.hgr",
+        "hyperpraw_lowmem_threaded_pipeline_{}.hgr",
         std::process::id()
     ));
     hmetis::write_hgr_file(&hg, &path).unwrap();
@@ -103,7 +103,6 @@ fn bsp_multi_pass_out_of_core_restreaming_runs_from_a_disk_stream() {
         .passes(2)
         .rebuild_sketches(true)
         .threads(4)
-        .sync_interval(256)
         .run_stream(&mut stream)
         .unwrap();
 
@@ -122,7 +121,7 @@ fn bsp_multi_pass_out_of_core_restreaming_runs_from_a_disk_stream() {
     let rr = Partition::round_robin(hg.num_vertices(), p);
     assert!(
         streamed.soed < metrics::soed(&hg, &rr),
-        "BSP out-of-core SOED {} should beat round robin {}",
+        "threaded out-of-core SOED {} should beat round robin {}",
         streamed.soed,
         metrics::soed(&hg, &rr)
     );
