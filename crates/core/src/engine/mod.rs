@@ -7,9 +7,11 @@
 //! the imbalance tolerance holds, then refine while the partitioning
 //! communication cost improves. What varies between deployment scenarios
 //! is *where the vertices come from*, *where the connectivity state
-//! lives*, and *how many workers run the stream*. The engine factors the
-//! first two axes into pluggable traits and the third into a worker count
-//! ([`EngineConfig::threads`]), and keeps the loop itself in one place:
+//! lives*, and *how many workers run the stream*. The engine reads the
+//! first axis through the one stream contract of the hypergraph crate
+//! ([`VertexStream`]), the second through [`ConnectivityProvider`], and
+//! the third as a worker count ([`EngineConfig::threads`]), and keeps the
+//! loop itself in one place:
 //!
 //! ```text
 //!                       ┌──────────────────────────────┐
@@ -20,15 +22,15 @@
 //!                       └──────┬───────┬───────┬───────┘
 //!            ┌─────────────────┘       │       └──────────────────┐
 //!            ▼                         ▼                          ▼
-//!   VertexSource             ConnectivityProvider        threads
+//!   VertexStream             ConnectivityProvider        threads
 //!   "which vertex next?"     "who are its neighbours?"   "how many decide?"
-//!   ├ InMemorySource         ├ AdjProvider (in-memory:   ├ 1: sequential
-//!   │  (natural/shuffled/    │   precomputed dedup CSR,  │   (fresh info per
-//!   │   degree order)        │   flat scan; budgeted,    │    vertex,
-//!   └ StreamSource over any  │   hubs fall back to       │    deterministic)
-//!      io::stream source     │   epoch traversal)        └ n > 1: work stealing
-//!      (on-disk transpose,   ├ lowmem ExactIndex             (atomic cursor,
-//!       InMemoryVertexStream)│   (hash maps, exact,           live assignment,
+//!   ├ InMemoryVertexStream   ├ AdjProvider (in-memory:   ├ 1: sequential
+//!   │  (natural, shuffled,   │   precomputed dedup CSR,  │   (fresh info per
+//!   │   degree order, or a   │   flat scan; budgeted,    │    vertex,
+//!   │   dirty set)           │   hubs fall back to       │    deterministic)
+//!   ├ DiskVertexStream       │   epoch traversal)        └ n > 1: work stealing
+//!   │  (on-disk transpose)   ├ lowmem ExactIndex             (atomic cursor,
+//!   └ storage .hpz reader    │   (hash maps, exact,           live assignment,
 //!                            │    reversible)                 synced loads,
 //!                            └ lowmem SketchIndex             fast)
 //!                                (Bloom + MinHash,
@@ -49,11 +51,11 @@
 //! shared cache lines, and it is not bit-reproducible above one worker.
 //!
 //! Every combination is valid: [`crate::HyperPraw`] is
-//! `InMemorySource × AdjProvider` on one worker by default and on more
-//! when given [`crate::HyperPraw::with_threads`]; `hyperpraw-lowmem` runs
-//! `StreamSource × IndexProvider` at any worker count — which is how
-//! parallel *out-of-core* partitioning (a scenario none of the original
-//! drivers supported) falls out for free.
+//! `InMemoryVertexStream × AdjProvider` on one worker by default and on
+//! more when given [`crate::HyperPraw::with_threads`]; `hyperpraw-lowmem`
+//! runs any on-disk or compressed stream `× IndexProvider` at any worker
+//! count — which is how parallel *out-of-core* partitioning (a scenario
+//! none of the original drivers supported) falls out for free.
 //!
 //! `AdjProvider` answers the distinct-neighbour query with exact integer
 //! counts: it pays one parallel dedup up front, scans a flat list per
@@ -75,7 +77,7 @@ use std::sync::atomic::{AtomicI64, AtomicU32, Ordering as AtomicOrdering};
 use std::sync::Mutex;
 use std::thread;
 
-use hyperpraw_hypergraph::io::stream::VertexRecord;
+use hyperpraw_hypergraph::io::stream::{VertexRecord, VertexStream};
 use hyperpraw_hypergraph::io::IoResult;
 use hyperpraw_hypergraph::traversal::NeighborScratch;
 use hyperpraw_hypergraph::{
@@ -94,7 +96,7 @@ mod provider;
 mod source;
 
 pub use provider::{AdjProvider, AdjScratch, ConnectivityProvider};
-pub use source::{stream_order, DirtySetSource, InMemorySource, StreamSource, VertexSource};
+pub use source::stream_order;
 
 /// Why the restreaming loop stopped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -201,7 +203,8 @@ pub struct EngineConfig {
 impl EngineConfig {
     /// The classic in-memory restreaming configuration of
     /// [`crate::HyperPraw`], derived from a [`HyperPrawConfig`] (stream
-    /// order and seed are consumed by the [`InMemorySource`] instead).
+    /// order and seed are consumed by the in-memory stream's
+    /// [`stream_order`] instead).
     pub fn restreaming(config: &HyperPrawConfig) -> Self {
         Self {
             initial_alpha: config.initial_alpha,
@@ -794,7 +797,7 @@ impl Engine {
         cost_model: &mut C,
     ) -> IoResult<EngineRun>
     where
-        S: VertexSource,
+        S: VertexStream,
         P: ConnectivityProvider,
         C: CommCostModel,
     {
@@ -845,7 +848,7 @@ impl Engine {
         warm: WarmStart,
     ) -> IoResult<EngineRun>
     where
-        S: VertexSource,
+        S: VertexStream,
         P: ConnectivityProvider,
         C: CommCostModel,
     {
@@ -890,7 +893,7 @@ impl Engine {
         e: usize,
     ) -> IoResult<EngineRun>
     where
-        S: VertexSource,
+        S: VertexStream,
         P: ConnectivityProvider,
         C: CommCostModel,
     {
@@ -1088,7 +1091,7 @@ impl Engine {
         state: &mut EngineState,
     ) -> IoResult<()>
     where
-        S: VertexSource,
+        S: VertexStream,
         P: ConnectivityProvider,
     {
         let p = state.loads.len() as u32;
@@ -1116,7 +1119,7 @@ impl Engine {
         record: &mut VertexRecord,
     ) -> IoResult<usize>
     where
-        S: VertexSource,
+        S: VertexStream,
         P: ConnectivityProvider,
     {
         let mut moved = 0usize;
@@ -1180,7 +1183,7 @@ impl Engine {
         batch: &mut Vec<VertexRecord>,
     ) -> IoResult<usize>
     where
-        S: VertexSource,
+        S: VertexStream,
         P: ConnectivityProvider,
     {
         let p = state.loads.len();
@@ -1420,6 +1423,7 @@ mod tests {
     use hyperpraw_hypergraph::generators::{
         mesh_hypergraph, powerlaw_hypergraph, MeshConfig, PowerLawConfig,
     };
+    use hyperpraw_hypergraph::io::stream::InMemoryVertexStream;
     use hyperpraw_hypergraph::AdjacencyBudget;
     use hyperpraw_topology::{BandwidthMatrix, MachineModel};
 
@@ -1491,7 +1495,10 @@ mod tests {
         let run = engine
             .run(
                 &CostMatrix::uniform(4),
-                &mut InMemorySource::new(&hg, config.stream_order, config.seed),
+                &mut InMemoryVertexStream::with_order(
+                    &hg,
+                    stream_order(&hg, config.stream_order, config.seed),
+                ),
                 &mut provider,
                 &mut ExactCommCost::new(&hg),
             )

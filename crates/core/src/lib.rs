@@ -30,10 +30,10 @@
 //! [`engine`]; every driver is a thin instantiation of it along three
 //! orthogonal axes:
 //!
-//! * **vertex source** ([`engine::VertexSource`]) — where the vertices
-//!   come from: an in-memory hypergraph in natural/shuffled/degree order
-//!   ([`engine::InMemorySource`]), or any on-disk
-//!   `hypergraph::io::stream::VertexStream` via [`engine::StreamSource`];
+//! * **vertex stream** (`hypergraph::io::stream::VertexStream`) — where
+//!   the vertices come from: an in-memory hypergraph in natural, shuffled
+//!   or degree order ([`engine::stream_order`] feeding
+//!   `InMemoryVertexStream`), or an on-disk or compressed stream;
 //! * **connectivity provider** ([`engine::ConnectivityProvider`]) — where
 //!   the neighbour-partition counts `X_j(v)` come from: a precomputed
 //!   deduplicated neighbour adjacency ([`engine::AdjProvider`], the one
@@ -45,9 +45,9 @@
 //!   staleness.
 //!
 //! [`HyperPraw`] is the one in-memory driver:
-//! `InMemorySource × AdjProvider` on one worker by default, with more
-//! workers set by [`HyperPraw::with_threads`]. The `hyperpraw-lowmem`
-//! crate instantiates the streamed source with the sketched providers — at
+//! `InMemoryVertexStream × AdjProvider` on one worker by default, with
+//! more workers set by [`HyperPraw::with_threads`]. The `hyperpraw-lowmem`
+//! crate instantiates on-disk streams with the sketched providers — at
 //! any worker count, which yields parallel out-of-core partitioning
 //! without a second copy of the loop.
 //!

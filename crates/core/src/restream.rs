@@ -5,10 +5,11 @@
 //! by default, or more (the work-stealing schedule of [`crate::parallel`])
 //! when configured with [`HyperPraw::with_threads`].
 
+use hyperpraw_hypergraph::io::stream::InMemoryVertexStream;
 use hyperpraw_hypergraph::{AdjacencyBudget, Hypergraph, NeighborAdjacency, Partition};
 use hyperpraw_topology::CostMatrix;
 
-use crate::engine::{AdjProvider, Engine, EngineConfig, EngineRun, ExactCommCost, InMemorySource};
+use crate::engine::{stream_order, AdjProvider, Engine, EngineConfig, EngineRun, ExactCommCost};
 use crate::history::PartitionHistory;
 use crate::HyperPrawConfig;
 
@@ -122,7 +123,10 @@ impl HyperPraw {
             ..EngineConfig::restreaming(&self.config)
         })
         .with_registry(&self.registry);
-        let mut source = InMemorySource::new(hg, self.config.stream_order, self.config.seed);
+        let mut source = InMemoryVertexStream::with_order(
+            hg,
+            stream_order(hg, self.config.stream_order, self.config.seed),
+        );
         // One precomputation serves both hot consumers: the per-visit
         // X_j(v) queries and the per-pass comm-cost evaluation. The build
         // honours the worker count — a sequential run stays single-threaded

@@ -13,7 +13,7 @@
 //! the test-only epoch-traversal oracle in `support`.
 
 use hyperpraw_core::engine::{
-    AdjProvider, Engine, EngineConfig, EngineRun, ExactCommCost, InMemorySource,
+    stream_order, AdjProvider, Engine, EngineConfig, EngineRun, ExactCommCost,
 };
 use hyperpraw_core::history::{IterationRecord, PartitionHistory, StreamPhase};
 use hyperpraw_core::metrics::partitioning_communication_cost;
@@ -25,6 +25,7 @@ use hyperpraw_hypergraph::generators::{
     mesh_hypergraph, powerlaw_hypergraph, random_hypergraph, MeshConfig, PowerLawConfig,
     RandomConfig,
 };
+use hyperpraw_hypergraph::io::stream::InMemoryVertexStream;
 use hyperpraw_hypergraph::traversal::NeighborScratch;
 use hyperpraw_hypergraph::{AdjacencyBudget, Hypergraph, Partition, VertexId};
 use hyperpraw_topology::{BandwidthMatrix, MachineModel};
@@ -323,7 +324,10 @@ fn every_connectivity_provider_is_bit_identical_to_the_reference() {
         let unbounded = Engine::new(EngineConfig::restreaming(&config))
             .run(
                 &cost,
-                &mut InMemorySource::new(&hg, config.stream_order, config.seed),
+                &mut InMemoryVertexStream::with_order(
+                    &hg,
+                    stream_order(&hg, config.stream_order, config.seed),
+                ),
                 &mut AdjProvider::new(&hg, AdjacencyBudget::Unbounded),
                 &mut ExactCommCost::new(&hg),
             )

@@ -8,10 +8,10 @@
 //! the adjacency provider against.
 
 use hyperpraw_core::engine::{
-    ConnectivityProvider, Engine, EngineConfig, EngineRun, ExactCommCost, InMemorySource,
+    stream_order, ConnectivityProvider, Engine, EngineConfig, EngineRun, ExactCommCost,
 };
 use hyperpraw_core::{CostMatrix, HyperPrawConfig};
-use hyperpraw_hypergraph::io::stream::VertexRecord;
+use hyperpraw_hypergraph::io::stream::{InMemoryVertexStream, VertexRecord};
 use hyperpraw_hypergraph::traversal::NeighborScratch;
 use hyperpraw_hypergraph::{AssignmentRef, Hypergraph};
 
@@ -60,7 +60,10 @@ pub fn csr_restream(hg: &Hypergraph, config: &HyperPrawConfig, cost: &CostMatrix
     Engine::new(EngineConfig::restreaming(config))
         .run(
             cost,
-            &mut InMemorySource::new(hg, config.stream_order, config.seed),
+            &mut InMemoryVertexStream::with_order(
+                hg,
+                stream_order(hg, config.stream_order, config.seed),
+            ),
             &mut CsrProvider::new(hg),
             &mut ExactCommCost::new(hg),
         )

@@ -1,12 +1,13 @@
 //! Warm-started engine runs: `Engine::run_warm` must refine an existing
-//! assignment instead of reseeding, and a `DirtySetSource` must confine
-//! every move to the dirty set.
+//! assignment instead of reseeding, and an `InMemoryVertexStream` over a
+//! dirty set must confine every move to that set.
 
 use hyperpraw_core::engine::{
-    AdjProvider, DirtySetSource, Engine, EngineConfig, ExactCommCost, InMemorySource, WarmStart,
+    stream_order, AdjProvider, Engine, EngineConfig, ExactCommCost, WarmStart,
 };
 use hyperpraw_core::{CostMatrix, HyperPraw, HyperPrawConfig, StreamOrder};
 use hyperpraw_hypergraph::generators::{mesh_hypergraph, MeshConfig};
+use hyperpraw_hypergraph::io::stream::InMemoryVertexStream;
 use hyperpraw_hypergraph::{AdjacencyBudget, Hypergraph, Partition};
 
 fn cold_run(hg: &Hypergraph, p: usize) -> Partition {
@@ -30,7 +31,8 @@ fn warm_run_over_the_full_graph_keeps_the_partition_feasible() {
     let cold = cold_run(&hg, 8);
 
     let engine = Engine::new(EngineConfig::restreaming(&config));
-    let mut source = InMemorySource::new(&hg, StreamOrder::Natural, 0);
+    let mut source =
+        InMemoryVertexStream::with_order(&hg, stream_order(&hg, StreamOrder::Natural, 0));
     let mut provider = AdjProvider::new(&hg, AdjacencyBudget::Auto);
     let mut model = ExactCommCost::new(&hg);
     let run = engine
@@ -64,7 +66,7 @@ fn dirty_set_restream_never_moves_a_clean_vertex() {
     // cold assignment because the engine only visits what the source yields.
     let dirty: Vec<u32> = vec![3, 17, 42, 43, 44, 200];
     let engine = Engine::new(EngineConfig::restreaming(&HyperPrawConfig::default()));
-    let mut source = DirtySetSource::new(&hg, dirty.clone());
+    let mut source = InMemoryVertexStream::with_order(&hg, dirty.clone());
     let mut provider = AdjProvider::new(&hg, AdjacencyBudget::Auto);
     let mut model = ExactCommCost::new(&hg);
     let run = engine
@@ -95,7 +97,7 @@ fn empty_dirty_set_returns_the_warm_partition_unchanged() {
     let cold = cold_run(&hg, 4);
 
     let engine = Engine::new(EngineConfig::restreaming(&HyperPrawConfig::default()));
-    let mut source = DirtySetSource::new(&hg, Vec::new());
+    let mut source = InMemoryVertexStream::with_order(&hg, Vec::new());
     let mut provider = AdjProvider::new(&hg, AdjacencyBudget::Auto);
     let mut model = ExactCommCost::new(&hg);
     let run = engine

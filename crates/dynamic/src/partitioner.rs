@@ -2,11 +2,10 @@
 
 use std::collections::BTreeSet;
 
-use hyperpraw_core::engine::{
-    AdjProvider, DirtySetSource, Engine, EngineConfig, ExactCommCost, WarmStart,
-};
+use hyperpraw_core::engine::{AdjProvider, Engine, EngineConfig, ExactCommCost, WarmStart};
 use hyperpraw_core::metrics::partitioning_communication_cost_with;
 use hyperpraw_core::{CostMatrix, HyperPrawConfig, PartitionHistory, StopReason};
+use hyperpraw_hypergraph::io::stream::InMemoryVertexStream;
 use hyperpraw_hypergraph::traversal::NeighborScratch;
 use hyperpraw_hypergraph::{
     AdjacencyBudget, Hypergraph, MutableHypergraph, NeighborAdjacency, Partition, VertexId,
@@ -75,8 +74,6 @@ pub struct UpdateOutcome {
     pub moved_in_restream: usize,
     /// Load imbalance of the resulting assignment (max/avg).
     pub imbalance: f64,
-    /// Architecture-aware communication cost of the resulting assignment.
-    pub comm_cost: f64,
     /// Per-pass history of the restream (empty when tracking is off or no
     /// restream ran).
     pub history: PartitionHistory,
@@ -295,7 +292,6 @@ impl DynamicPartitioner {
                 final_alpha: None,
                 moved_in_restream: 0,
                 imbalance: self.imbalance(),
-                comm_cost: self.comm_cost(),
                 history: PartitionHistory::new(),
                 migration: MigrationStats::default(),
             });
@@ -416,7 +412,7 @@ impl DynamicPartitioner {
         if !dirty.is_empty() {
             let engine = Engine::new(EngineConfig::restreaming(&self.cfg.config))
                 .with_registry(&self.metrics.registry);
-            let mut source = DirtySetSource::new(&self.snapshot, dirty.clone());
+            let mut source = InMemoryVertexStream::with_order(&self.snapshot, dirty.clone());
             let mut provider = AdjProvider::from_adjacency(&self.snapshot, &self.adj)
                 .with_registry(&self.metrics.registry);
             let mut model = ExactCommCost::with_adjacency(&self.snapshot, &self.adj);
@@ -483,7 +479,6 @@ impl DynamicPartitioner {
             final_alpha,
             moved_in_restream,
             imbalance: self.imbalance(),
-            comm_cost: self.comm_cost(),
             history,
             migration,
         })

@@ -14,28 +14,18 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-use crate::io::{IoError, IoResult};
-use crate::{Hypergraph, HypergraphBuilder, VertexId};
+use crate::io::stream::visit_edgelist_nets;
+use crate::io::IoResult;
+use crate::{Hypergraph, HypergraphBuilder};
 
-/// Reads an edge-list hypergraph from a buffered reader.
+/// Reads an edge-list hypergraph from a buffered reader: the
+/// [`visit_edgelist_nets`] parser feeding a [`HypergraphBuilder`].
 pub fn read_edgelist<R: BufRead>(reader: R) -> IoResult<Hypergraph> {
     let mut builder = HypergraphBuilder::new(0);
-    for (i, line) in reader.lines().enumerate() {
-        let line_no = i + 1;
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') {
-            continue;
-        }
-        let mut pins: Vec<VertexId> = Vec::new();
-        for tok in t.split_whitespace() {
-            let v: VertexId = tok
-                .parse()
-                .map_err(|_| IoError::parse(line_no, format!("invalid vertex id '{tok}'")))?;
-            pins.push(v);
-        }
-        builder.add_hyperedge(pins);
-    }
+    visit_edgelist_nets(reader, &mut |_, pins, _| {
+        builder.add_hyperedge(pins.iter().copied());
+        Ok(())
+    })?;
     Ok(builder.build())
 }
 

@@ -116,8 +116,17 @@ pub fn read_mtx<R: BufRead>(reader: R) -> IoResult<CoordinateMatrix> {
         .ok_or_else(|| IoError::parse(size_no, "missing nonzero count"))?
         .parse()
         .map_err(|_| IoError::parse(size_no, "invalid nonzero count"))?;
+    // Indices are stored as u32: a larger dimension would wrap them.
+    if rows.max(cols) > u32::MAX as usize {
+        return Err(IoError::parse(
+            size_no,
+            "matrix dimension exceeds the 32-bit id space",
+        ));
+    }
 
-    let mut entries: Vec<(u32, u32)> = Vec::with_capacity(if symmetric { nnz * 2 } else { nnz });
+    // The declared nonzero count is only checked against what the file
+    // holds, never trusted to size an allocation.
+    let mut entries: Vec<(u32, u32)> = Vec::new();
     let mut read = 0usize;
     for (i, line) in lines {
         let line_no = i + 1;
@@ -280,6 +289,35 @@ mod tests {
         let text = "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n";
         let err = read_mtx(Cursor::new(text)).unwrap_err();
         assert!(format!("{err}").contains("expected 3 entries"));
+    }
+
+    #[test]
+    fn lying_size_lines_are_parse_errors() {
+        for (text, needle) in [
+            // A nonzero count no allocation can hold, and one whose
+            // symmetric doubling overflows.
+            (
+                "%%MatrixMarket matrix coordinate pattern general\n2 2 4000000000000\n1 1\n",
+                "expected 4000000000000 entries, found 1",
+            ),
+            (
+                "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 18446744073709551615\n1 1\n",
+                "expected 18446744073709551615 entries, found 1",
+            ),
+            // Row 4294967297 would wrap to row 0 as a u32.
+            (
+                "%%MatrixMarket matrix coordinate pattern general\n4294967297 1 1\n4294967297 1\n",
+                "exceeds the 32-bit id space",
+            ),
+        ] {
+            match read_mtx(Cursor::new(text)) {
+                Err(err @ IoError::Parse { .. }) => {
+                    let msg = format!("{err}");
+                    assert!(msg.contains(needle), "{text:?}: {msg} missing {needle:?}");
+                }
+                other => panic!("{text:?}: expected a parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -94,6 +94,16 @@ pub type IoResult<T> = Result<T, IoError>;
 mod tests {
     use super::*;
 
+    /// A scratch path `{prefix}{pid}-{n}.{ext}` in the system temp
+    /// directory, unique per call, so tests running in parallel never
+    /// share a file.
+    pub(crate) fn scratch_path(prefix: &str, ext: &str) -> std::path::PathBuf {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!("{prefix}{}-{n}.{ext}", std::process::id()))
+    }
+
     #[test]
     fn parse_error_display_mentions_line() {
         let e = IoError::parse(7, "bad token");

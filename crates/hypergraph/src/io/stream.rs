@@ -1,16 +1,21 @@
-//! Streaming, vertex-major access to on-disk hypergraphs.
+//! Streaming, vertex-major access to hypergraphs, and the one parser per
+//! text format.
 //!
-//! The in-memory readers in [`crate::io::hmetis`] and
-//! [`crate::io::edgelist`] materialise the full CSR structure, which caps
-//! the hypergraph size at available RAM. This module provides the
-//! out-of-core alternative used by the `hyperpraw-lowmem` partitioner:
+//! The restreaming engine reads one thing: a restartable stream of
+//! vertices, each with its incident nets. This module defines that
+//! contract and every text-format reader behind it:
 //!
-//! * [`visit_hgr_nets`] / [`visit_edgelist_nets`] — a single **edge-major**
-//!   pass over a file, invoking a callback per net without storing pins,
-//! * [`VertexStream`] — the **vertex-major** record interface streaming
-//!   partitioners consume: `(vertex, weight, incident nets)` per record,
-//! * [`InMemoryVertexStream`] — adapter over an already-built
-//!   [`Hypergraph`] (tests, small inputs),
+//! * [`VertexStream`] — the **vertex-major** record interface every
+//!   restreaming driver consumes: `(vertex, weight, incident nets)` per
+//!   record,
+//! * [`InMemoryVertexStream`] — the stream over an already-built
+//!   [`Hypergraph`], in natural order or any explicit order (a shuffled
+//!   or degree-sorted pass, or a dynamic session's dirty set),
+//! * [`visit_hgr_nets`] / [`visit_edgelist_nets`] — the hMETIS and
+//!   edge-list parsers: a single **edge-major** pass over a file, invoking
+//!   a callback per net without storing pins. The in-memory readers
+//!   ([`crate::io::hmetis::read_hgr`], [`crate::io::edgelist::read_edgelist`])
+//!   are these visitors feeding a [`crate::HypergraphBuilder`],
 //! * [`DiskVertexStream`] + [`stream_hgr_file`] / [`stream_edgelist_file`]
 //!   — an external-memory transpose: the input file is read **once**,
 //!   `(vertex, net)` pairs are spilled to temporary bucket files grouped by
@@ -19,6 +24,9 @@
 //!   (buckets larger than the buffer are split on disk before loading);
 //!   only O(|V|)-class state inherent to the problem (vertex weights when
 //!   the file carries them) is ever proportional to the hypergraph.
+//!
+//! Header counts are validated, never trusted: they must fit the 32-bit id
+//! space and they size no allocation, so a lying header is a parse error.
 
 use std::fs::{self, File};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -41,11 +49,11 @@ pub struct VertexRecord {
 
 /// A one-pass, restartable source of [`VertexRecord`]s.
 ///
-/// Every vertex id in `0..num_vertices()` is yielded exactly once per pass,
-/// in a deterministic order (implementations document theirs). `reset`
-/// rewinds for another pass without re-reading the original input.
+/// Every vertex the stream covers is yielded exactly once per pass, in a
+/// deterministic order (implementations document theirs). `reset` rewinds
+/// for another pass without re-reading the original input.
 pub trait VertexStream {
-    /// Number of vertices the stream will yield per pass.
+    /// Number of vertices of the underlying hypergraph.
     fn num_vertices(&self) -> usize;
 
     /// Number of nets (hyperedges) of the underlying hypergraph.
@@ -62,11 +70,17 @@ pub trait VertexStream {
     fn total_vertex_weight(&self) -> Option<f64> {
         None
     }
+
+    /// Hints that the consumer does not read [`VertexRecord::nets`]
+    /// (CSR-backed connectivity providers traverse the hypergraph
+    /// directly), letting the stream skip copying incidence lists.
+    /// Streams are free to ignore the hint and fill the nets anyway.
+    fn set_nets_enabled(&mut self, _enabled: bool) {}
 }
 
 /// A mutable borrow of a stream is itself a stream, so consumers that take
-/// a stream by value (e.g. the restreaming engine's source adapters) also
-/// accept `&mut stream` without giving up ownership.
+/// a stream by value also accept `&mut stream` without giving up
+/// ownership. Every method forwards, the nets hint included.
 impl<S: VertexStream + ?Sized> VertexStream for &mut S {
     fn num_vertices(&self) -> usize {
         (**self).num_vertices()
@@ -87,21 +101,46 @@ impl<S: VertexStream + ?Sized> VertexStream for &mut S {
     fn total_vertex_weight(&self) -> Option<f64> {
         (**self).total_vertex_weight()
     }
+
+    fn set_nets_enabled(&mut self, enabled: bool) {
+        (**self).set_nets_enabled(enabled)
+    }
 }
 
-/// [`VertexStream`] over an in-memory [`Hypergraph`], yielding vertices in
-/// natural id order. Used by tests and by callers whose input already fits
-/// in RAM.
+/// [`VertexStream`] over an in-memory [`Hypergraph`]: natural id order by
+/// default, or an explicit visit order.
+///
+/// The sizes it reports are always the hypergraph's, whatever the order
+/// covers: a warm restream over a subset reads neither, and a cold run
+/// needs the full graph's.
 #[derive(Clone, Debug)]
 pub struct InMemoryVertexStream<'a> {
     hg: &'a Hypergraph,
+    order: Vec<VertexId>,
     cursor: usize,
+    nets_enabled: bool,
 }
 
 impl<'a> InMemoryVertexStream<'a> {
-    /// Creates a stream over `hg`.
+    /// Creates a stream visiting every vertex of `hg` in id order.
     pub fn new(hg: &'a Hypergraph) -> Self {
-        Self { hg, cursor: 0 }
+        Self::with_order(hg, hg.vertices().collect())
+    }
+
+    /// Creates a stream yielding exactly `order` (ids into `hg`) once per
+    /// pass — a permutation of every vertex, or a subset such as the dirty
+    /// set an incremental repartitioner restreams.
+    pub fn with_order(hg: &'a Hypergraph, order: Vec<VertexId>) -> Self {
+        debug_assert!(
+            order.iter().all(|&v| (v as usize) < hg.num_vertices()),
+            "stream ids must be vertices of the hypergraph"
+        );
+        Self {
+            hg,
+            order,
+            cursor: 0,
+            nets_enabled: true,
+        }
     }
 }
 
@@ -115,15 +154,16 @@ impl VertexStream for InMemoryVertexStream<'_> {
     }
 
     fn next_into(&mut self, record: &mut VertexRecord) -> IoResult<bool> {
-        if self.cursor >= self.hg.num_vertices() {
+        let Some(&v) = self.order.get(self.cursor) else {
             return Ok(false);
-        }
-        let v = self.cursor as VertexId;
+        };
+        self.cursor += 1;
         record.vertex = v;
         record.weight = self.hg.vertex_weight(v);
         record.nets.clear();
-        record.nets.extend_from_slice(self.hg.incident_edges(v));
-        self.cursor += 1;
+        if self.nets_enabled {
+            record.nets.extend_from_slice(self.hg.incident_edges(v));
+        }
         Ok(true)
     }
 
@@ -135,6 +175,74 @@ impl VertexStream for InMemoryVertexStream<'_> {
     fn total_vertex_weight(&self) -> Option<f64> {
         Some(self.hg.total_vertex_weight())
     }
+
+    fn set_nets_enabled(&mut self, enabled: bool) {
+        self.nets_enabled = enabled;
+    }
+}
+
+/// The counts of an hMETIS file's header line.
+pub struct HgrHeader {
+    /// Declared number of hyperedges.
+    pub num_nets: usize,
+    /// Declared number of vertices.
+    pub num_vertices: usize,
+}
+
+/// Consumes lines up to and including the hMETIS header (skipping `%`
+/// comments and blank lines) and parses `|E| |V| [fmt]`. Returns the
+/// header's 1-based line number, its counts and `fmt` (0 when absent).
+fn parse_hgr_header<I>(lines: &mut I) -> IoResult<(usize, HgrHeader, u32)>
+where
+    I: Iterator<Item = (usize, std::io::Result<String>)>,
+{
+    for (i, line) in lines {
+        let line = line?;
+        let trimmed = line.trim();
+        if trimmed.is_empty() || trimmed.starts_with('%') {
+            continue;
+        }
+        let line_no = i + 1;
+        let mut parts = trimmed.split_whitespace();
+        // Ids are 32-bit: a larger count would wrap pins onto other ids.
+        let mut count = |missing: &str, invalid: &str| -> IoResult<usize> {
+            let n: usize = parts
+                .next()
+                .ok_or_else(|| IoError::parse(line_no, missing))?
+                .parse()
+                .map_err(|_| IoError::parse(line_no, invalid))?;
+            if n > u32::MAX as usize {
+                return Err(IoError::parse(
+                    line_no,
+                    format!("header count {n} exceeds the 32-bit id space"),
+                ));
+            }
+            Ok(n)
+        };
+        let num_nets = count("missing hyperedge count", "invalid hyperedge count")?;
+        let num_vertices = count("missing vertex count", "invalid vertex count")?;
+        let fmt: u32 = match parts.next() {
+            Some(tok) => tok
+                .parse()
+                .map_err(|_| IoError::parse(line_no, "invalid fmt field"))?,
+            None => 0,
+        };
+        let header = HgrHeader {
+            num_nets,
+            num_vertices,
+        };
+        return Ok((line_no, header, fmt));
+    }
+    Err(IoError::parse(1, "empty file: missing header"))
+}
+
+/// Reads just the header line of an hMETIS file — O(1) in the file size,
+/// so callers can validate a request (e.g. partition count vs. vertex
+/// count) before paying for a full [`stream_hgr_file`] transpose. Rejects
+/// exactly the headers [`visit_hgr_nets`] rejects.
+pub fn read_hgr_header(path: &Path) -> IoResult<HgrHeader> {
+    let reader = BufReader::new(File::open(path)?);
+    parse_hgr_header(&mut reader.lines().enumerate()).map(|(_, header, _)| header)
 }
 
 /// Summary of an edge-major pass over an hMETIS file.
@@ -150,50 +258,23 @@ pub struct HgrStreamSummary {
     pub vertex_weights: Option<Vec<f64>>,
 }
 
-/// Streams an hMETIS `.hgr` file **edge-major** in a single pass, invoking
-/// `sink(net, pins)` per hyperedge with 0-based vertex ids, without
-/// materialising any per-net state beyond one line's pins.
-///
-/// Accepts the same dialect as [`crate::io::hmetis::read_hgr`] (comments,
-/// `fmt` ∈ {none, 1, 10, 11}, 1-based vertex ids) and reports the same
-/// parse errors, so the two readers agree on every valid and invalid input.
+/// Parses an hMETIS `.hgr` file (format in [`crate::io::hmetis`])
+/// **edge-major** in a single pass, invoking `sink(net, pins, weight)` per
+/// hyperedge with 0-based, sorted, distinct vertex ids and the net's
+/// weight (1.0 unless `fmt` declares weights), without materialising any
+/// per-net state beyond one line's pins. This is the one hMETIS parser:
+/// the in-memory reader and the on-disk transpose are both built on it.
+#[allow(clippy::type_complexity)] // the per-net sink is the parser's interface
 pub fn visit_hgr_nets<R: BufRead>(
     reader: R,
-    sink: &mut dyn FnMut(HyperedgeId, &[VertexId]) -> IoResult<()>,
+    sink: &mut dyn FnMut(HyperedgeId, &[VertexId], f64) -> IoResult<()>,
 ) -> IoResult<HgrStreamSummary> {
     let mut lines = reader.lines().enumerate();
-
-    let (header_line_no, header) = loop {
-        match lines.next() {
-            Some((i, line)) => {
-                let line = line?;
-                let trimmed = line.trim();
-                if trimmed.is_empty() || trimmed.starts_with('%') {
-                    continue;
-                }
-                break (i + 1, trimmed.to_string());
-            }
-            None => return Err(IoError::parse(1, "empty file: missing header")),
-        }
-    };
-
-    let mut parts = header.split_whitespace();
-    let num_nets: usize = parts
-        .next()
-        .ok_or_else(|| IoError::parse(header_line_no, "missing hyperedge count"))?
-        .parse()
-        .map_err(|_| IoError::parse(header_line_no, "invalid hyperedge count"))?;
-    let num_vertices: usize = parts
-        .next()
-        .ok_or_else(|| IoError::parse(header_line_no, "missing vertex count"))?
-        .parse()
-        .map_err(|_| IoError::parse(header_line_no, "invalid vertex count"))?;
-    let fmt: u32 = match parts.next() {
-        Some(tok) => tok
-            .parse()
-            .map_err(|_| IoError::parse(header_line_no, "invalid fmt field"))?,
-        None => 0,
-    };
+    let (header_line_no, header, fmt) = parse_hgr_header(&mut lines)?;
+    let HgrHeader {
+        num_nets,
+        num_vertices,
+    } = header;
     let has_edge_weights = fmt == 1 || fmt == 11;
     let has_vertex_weights = fmt == 10 || fmt == 11;
 
@@ -211,15 +292,15 @@ pub fn visit_hgr_nets<R: BufRead>(
         }
         if nets_read < num_nets {
             let mut tokens = trimmed.split_whitespace();
-            if has_edge_weights {
-                // Net weights are parsed for validation but not forwarded:
-                // the vertex-major stream treats nets uniformly.
-                let _: f64 = tokens
+            let weight = if has_edge_weights {
+                tokens
                     .next()
                     .ok_or_else(|| IoError::parse(line_no, "missing hyperedge weight"))?
                     .parse()
-                    .map_err(|_| IoError::parse(line_no, "invalid hyperedge weight"))?;
-            }
+                    .map_err(|_| IoError::parse(line_no, "invalid hyperedge weight"))?
+            } else {
+                1.0
+            };
             pins.clear();
             for tok in tokens {
                 let v: usize = tok
@@ -236,13 +317,13 @@ pub fn visit_hgr_nets<R: BufRead>(
             if pins.is_empty() {
                 return Err(IoError::parse(line_no, "hyperedge with no pins"));
             }
-            // Mirror `HypergraphBuilder`: pins are sorted and duplicate
-            // pins within one net are dropped, so streaming and in-memory
-            // readers agree on every input.
+            // Sorted, duplicate-free pins are what `HypergraphBuilder`
+            // stores, so streaming consumers count connectivity exactly as
+            // the in-memory graph does.
             pins.sort_unstable();
             pins.dedup();
             num_pins += pins.len();
-            sink(nets_read as HyperedgeId, &pins)?;
+            sink(nets_read as HyperedgeId, &pins, weight)?;
             nets_read += 1;
         } else if has_vertex_weights && vertex_weights.len() < num_vertices {
             let w: f64 = trimmed
@@ -289,12 +370,13 @@ pub struct EdgeListStreamSummary {
     pub num_pins: usize,
 }
 
-/// Streams a whitespace edge-list file (0-based ids, `#` comments, one net
-/// per line) **edge-major** in a single pass, invoking `sink(net, pins)`
-/// per line.
+/// Parses a whitespace edge-list file **edge-major** in a single pass,
+/// invoking `sink(net, pins, 1.0)` per line with sorted, distinct ids —
+/// the one edge-list parser (format in [`crate::io::edgelist`]).
+#[allow(clippy::type_complexity)] // the per-net sink is the parser's interface
 pub fn visit_edgelist_nets<R: BufRead>(
     reader: R,
-    sink: &mut dyn FnMut(HyperedgeId, &[VertexId]) -> IoResult<()>,
+    sink: &mut dyn FnMut(HyperedgeId, &[VertexId], f64) -> IoResult<()>,
 ) -> IoResult<EdgeListStreamSummary> {
     let mut pins: Vec<VertexId> = Vec::new();
     let mut num_vertices = 0usize;
@@ -319,7 +401,7 @@ pub fn visit_edgelist_nets<R: BufRead>(
         pins.sort_unstable();
         pins.dedup();
         num_pins += pins.len();
-        sink(num_nets as HyperedgeId, &pins)?;
+        sink(num_nets as HyperedgeId, &pins, 1.0)?;
         num_nets += 1;
     }
     Ok(EdgeListStreamSummary {
@@ -663,7 +745,7 @@ pub fn stream_hgr_file(
         header.num_nets,
         None,
         move |emit| {
-            let s = visit_hgr_nets(reader, &mut |e, pins| {
+            let s = visit_hgr_nets(reader, &mut |e, pins, _| {
                 for &v in pins {
                     emit(v, e)?;
                 }
@@ -698,7 +780,7 @@ pub fn stream_edgelist_file(
     let first_pass = (|| -> IoResult<EdgeListStreamSummary> {
         let mut raw = BufWriter::new(File::create(&raw_path)?);
         let reader = BufReader::new(File::open(path.as_ref())?);
-        let summary = visit_edgelist_nets(reader, &mut |e, pins| {
+        let summary = visit_edgelist_nets(reader, &mut |e, pins, _| {
             for &v in pins {
                 raw.write_all(&v.to_le_bytes())?;
                 raw.write_all(&e.to_le_bytes())?;
@@ -744,48 +826,11 @@ pub fn stream_edgelist_file(
     result
 }
 
-/// The `|E| |V|` counts from an hMETIS file's header line.
-pub struct HgrHeader {
-    /// Declared number of hyperedges.
-    pub num_nets: usize,
-    /// Declared number of vertices.
-    pub num_vertices: usize,
-}
-
-/// Reads just the header line of an hMETIS file — O(1) in the file size,
-/// so callers can validate a request (e.g. partition count vs. vertex
-/// count) before paying for a full [`stream_hgr_file`] transpose.
-pub fn read_hgr_header(path: &Path) -> IoResult<HgrHeader> {
-    let reader = BufReader::new(File::open(path)?);
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('%') {
-            continue;
-        }
-        let mut parts = trimmed.split_whitespace();
-        let num_nets = parts
-            .next()
-            .ok_or_else(|| IoError::parse(i + 1, "missing hyperedge count"))?
-            .parse()
-            .map_err(|_| IoError::parse(i + 1, "invalid hyperedge count"))?;
-        let num_vertices = parts
-            .next()
-            .ok_or_else(|| IoError::parse(i + 1, "missing vertex count"))?
-            .parse()
-            .map_err(|_| IoError::parse(i + 1, "invalid vertex count"))?;
-        return Ok(HgrHeader {
-            num_nets,
-            num_vertices,
-        });
-    }
-    Err(IoError::parse(1, "empty file: missing header"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::io::hmetis;
+    use crate::io::tests::scratch_path;
     use crate::HypergraphBuilder;
     use std::io::Cursor;
 
@@ -821,11 +866,66 @@ mod tests {
     }
 
     #[test]
+    fn dirty_set_stream_yields_exactly_the_subset_per_pass() {
+        let hg = sample_hg();
+        let mut stream = InMemoryVertexStream::with_order(&hg, vec![1, 3, 4]);
+        // The sizes are the hypergraph's, not the subset's.
+        assert_eq!(stream.num_vertices(), 6);
+        assert_eq!(stream.num_nets(), 3);
+        assert_eq!(stream.total_vertex_weight(), Some(6.0));
+        let records = collect(&mut stream);
+        assert_eq!(
+            records.iter().map(|r| r.vertex).collect::<Vec<_>>(),
+            vec![1, 3, 4]
+        );
+        assert_eq!(records[1].nets, vec![1, 2]); // vertex 3's incidence
+                                                 // Reset rewinds for the next pass; nets can be skipped.
+        stream.reset().unwrap();
+        stream.set_nets_enabled(false);
+        let records = collect(&mut stream);
+        assert_eq!(records.len(), 3);
+        assert!(records.iter().all(|r| r.nets.is_empty()));
+    }
+
+    #[test]
+    fn disabling_nets_skips_the_incidence_copy() {
+        let mut b = HypergraphBuilder::new(3);
+        b.add_hyperedge([0u32, 1, 2]);
+        let hg = b.build();
+        let mut stream = InMemoryVertexStream::new(&hg);
+        stream.set_nets_enabled(false);
+        let records = collect(&mut stream);
+        assert_eq!(records.len(), 3);
+        assert!(records.iter().all(|r| r.nets.is_empty()));
+        assert_eq!(records[1].weight, 1.0);
+    }
+
+    #[test]
+    fn a_borrowed_stream_forwards_the_nets_hint() {
+        // Generic consumers see `&mut S` as the stream type; if the borrow
+        // dropped the hint, they would copy every incidence list.
+        fn without_nets<S: VertexStream>(mut stream: S) -> Vec<VertexRecord> {
+            stream.set_nets_enabled(false);
+            let mut record = VertexRecord::default();
+            let mut out = Vec::new();
+            while stream.next_into(&mut record).unwrap() {
+                out.push(record.clone());
+            }
+            out
+        }
+        let hg = sample_hg();
+        let mut stream = InMemoryVertexStream::new(&hg);
+        let records = without_nets(&mut stream);
+        assert_eq!(records.len(), 6);
+        assert!(records.iter().all(|r| r.nets.is_empty()));
+    }
+
+    #[test]
     fn hgr_visitor_matches_in_memory_reader() {
         let text = "% sample\n3 6\n1 2 3\n3 4\n1 4 5\n";
         let hg = hmetis::read_hgr(Cursor::new(text)).unwrap();
         let mut nets: Vec<Vec<VertexId>> = Vec::new();
-        let summary = visit_hgr_nets(Cursor::new(text), &mut |e, pins| {
+        let summary = visit_hgr_nets(Cursor::new(text), &mut |e, pins, _| {
             assert_eq!(e as usize, nets.len());
             nets.push(pins.to_vec());
             Ok(())
@@ -841,20 +941,61 @@ mod tests {
 
     #[test]
     fn hgr_visitor_rejects_malformed_headers() {
-        for (text, needle) in [
-            ("", "empty file"),
-            ("% only comments\n", "empty file"),
-            ("3\n1 2\n", "missing vertex count"),
-            ("x 5\n", "invalid hyperedge count"),
-            ("2 y\n", "invalid vertex count"),
-            ("1 3 zz\n1 2\n", "invalid fmt field"),
-            ("2 3\n1 2\n", "expected 2 hyperedges"),
-            ("1 3\n1 9\n", "out of range"),
-            ("1 3\n0 2\n", "out of range"),
+        // Every entry point runs the one parser, so each input fails with
+        // the same error through all of them; `read_hgr_header` stops
+        // after the header, so only header faults reach it.
+        for (text, needle, header_fault) in [
+            ("", "empty file", true),
+            ("% only comments\n", "empty file", true),
+            ("3\n1 2\n", "missing vertex count", true),
+            ("x 5\n", "invalid hyperedge count", true),
+            ("2 y\n", "invalid vertex count", true),
+            ("1 3 zz\n1 2\n", "invalid fmt field", true),
+            ("1 2 x\n1 2\n", "invalid fmt field", true),
+            (
+                "18446744073709551615 1\n1\n",
+                "exceeds the 32-bit id space",
+                true,
+            ),
+            (
+                "1 4294967297\n4294967297\n",
+                "exceeds the 32-bit id space",
+                true,
+            ),
+            ("4000000000 1\n1\n", "expected 4000000000 hyperedges", false),
+            ("2 3\n1 2\n", "expected 2 hyperedges", false),
+            ("1 3\n1 9\n", "out of range", false),
+            ("1 3\n0 2\n", "out of range", false),
         ] {
-            let err = visit_hgr_nets(Cursor::new(text), &mut |_, _| Ok(())).unwrap_err();
+            let err = visit_hgr_nets(Cursor::new(text), &mut |_, _, _| Ok(())).unwrap_err();
             let msg = format!("{err}");
             assert!(msg.contains(needle), "{text:?}: {msg} missing {needle:?}");
+
+            let path = scratch_path("hyperpraw_stream_bad_header_", "hgr");
+            std::fs::write(&path, text).unwrap();
+            let from_reader = hmetis::read_hgr(Cursor::new(text)).map(|_| ());
+            let from_header = read_hgr_header(&path).map(|_| ());
+            let from_stream = stream_hgr_file(&path, &StreamOptions::default()).map(|_| ());
+            std::fs::remove_file(&path).ok();
+            assert_eq!(
+                from_header.is_err(),
+                header_fault,
+                "{text:?} via read_hgr_header"
+            );
+            for (entry, result) in [
+                ("read_hgr", Some(from_reader)),
+                ("read_hgr_header", header_fault.then_some(from_header)),
+                ("stream_hgr_file", Some(from_stream)),
+            ] {
+                if let Some(result) = result {
+                    let other = result.unwrap_err();
+                    assert!(
+                        matches!(other, IoError::Parse { .. }),
+                        "{text:?} via {entry}"
+                    );
+                    assert_eq!(format!("{other}"), msg, "{text:?} via {entry}");
+                }
+            }
         }
     }
 
@@ -865,7 +1006,7 @@ mod tests {
         let text = "2 4\n1 2 2 3\n4 4 4\n";
         let hg = hmetis::read_hgr(Cursor::new(text)).unwrap();
         let mut nets: Vec<Vec<VertexId>> = Vec::new();
-        let summary = visit_hgr_nets(Cursor::new(text), &mut |_, pins| {
+        let summary = visit_hgr_nets(Cursor::new(text), &mut |_, pins, _| {
             nets.push(pins.to_vec());
             Ok(())
         })
@@ -876,7 +1017,7 @@ mod tests {
         assert_eq!(nets[1], vec![3]);
 
         let mut el_nets: Vec<Vec<VertexId>> = Vec::new();
-        let el = visit_edgelist_nets(Cursor::new("0 1 1 2\n3 3\n"), &mut |_, pins| {
+        let el = visit_edgelist_nets(Cursor::new("0 1 1 2\n3 3\n"), &mut |_, pins, _| {
             el_nets.push(pins.to_vec());
             Ok(())
         })
@@ -889,7 +1030,7 @@ mod tests {
     fn hgr_ids_are_one_based_but_stream_is_zero_based() {
         let text = "1 3\n1 3\n";
         let mut seen = Vec::new();
-        visit_hgr_nets(Cursor::new(text), &mut |_, pins| {
+        visit_hgr_nets(Cursor::new(text), &mut |_, pins, _| {
             seen.extend_from_slice(pins);
             Ok(())
         })
@@ -900,8 +1041,7 @@ mod tests {
     #[test]
     fn disk_stream_agrees_with_in_memory_stream_on_hgr_round_trip() {
         let hg = sample_hg();
-        let path =
-            std::env::temp_dir().join(format!("hyperpraw_stream_rt_{}.hgr", std::process::id()));
+        let path = scratch_path("hyperpraw_stream_rt_", "hgr");
         hmetis::write_hgr_file(&hg, &path).unwrap();
 
         let mut disk = stream_hgr_file(&path, &StreamOptions::default()).unwrap();
@@ -921,8 +1061,7 @@ mod tests {
     #[test]
     fn disk_stream_preserves_vertex_weights() {
         let text = "1 3 10\n1 2 3\n5\n1\n2\n";
-        let path =
-            std::env::temp_dir().join(format!("hyperpraw_stream_w_{}.hgr", std::process::id()));
+        let path = scratch_path("hyperpraw_stream_w_", "hgr");
         std::fs::write(&path, text).unwrap();
         let mut stream = stream_hgr_file(&path, &StreamOptions::default()).unwrap();
         let records = collect(&mut stream);
@@ -940,8 +1079,7 @@ mod tests {
             b.add_hyperedge([v, (v + 1) % 40]);
         }
         let hg = b.build();
-        let path =
-            std::env::temp_dir().join(format!("hyperpraw_stream_split_{}.hgr", std::process::id()));
+        let path = scratch_path("hyperpraw_stream_split_", "hgr");
         hmetis::write_hgr_file(&hg, &path).unwrap();
 
         let options = StreamOptions::with_buffer_bytes(64);
@@ -959,8 +1097,7 @@ mod tests {
 
     #[test]
     fn failed_streams_leave_no_spill_files_behind() {
-        let spill =
-            std::env::temp_dir().join(format!("hyperpraw-spill-leak-test-{}", std::process::id()));
+        let spill = scratch_path("hyperpraw-spill-leak-test-", "d");
         std::fs::create_dir_all(&spill).unwrap();
         let options = StreamOptions {
             buffer_bytes: 1 << 10,
@@ -969,12 +1106,12 @@ mod tests {
 
         // hMETIS input whose body contradicts the header: the error fires
         // inside DiskVertexStream::build, after the bucket dir exists.
-        let bad_hgr = std::env::temp_dir().join(format!("bad-{}.hgr", std::process::id()));
+        let bad_hgr = scratch_path("hyperpraw_stream_bad_", "hgr");
         std::fs::write(&bad_hgr, "5 4\n1 2\n").unwrap();
         assert!(stream_hgr_file(&bad_hgr, &options).is_err());
 
         // Edge list that fails to parse during the raw spill pass.
-        let bad_el = std::env::temp_dir().join(format!("bad-{}.txt", std::process::id()));
+        let bad_el = scratch_path("hyperpraw_stream_bad_", "txt");
         std::fs::write(&bad_el, "0 1\n2 x\n").unwrap();
         assert!(stream_edgelist_file(&bad_el, &options).is_err());
 
@@ -993,8 +1130,7 @@ mod tests {
     #[test]
     fn edgelist_stream_matches_visitor_and_emits_isolated_vertices() {
         let text = "# c\n0 1 2\n2 4\n";
-        let path =
-            std::env::temp_dir().join(format!("hyperpraw_stream_el_{}.txt", std::process::id()));
+        let path = scratch_path("hyperpraw_stream_el_", "txt");
         std::fs::write(&path, text).unwrap();
         let mut stream = stream_edgelist_file(&path, &StreamOptions::default()).unwrap();
         let records = collect(&mut stream);

@@ -7,12 +7,14 @@
 //! HYPE, arXiv:1810.11319) on top of the same architecture-aware value
 //! function:
 //!
-//! * the input is consumed through a
-//!   [`hyperpraw_hypergraph::io::stream::VertexStream`] — either an
-//!   in-memory adapter or the on-disk transpose readers
+//! * the input is consumed through the one stream contract the engine
+//!   reads, [`hyperpraw_hypergraph::io::stream::VertexStream`], handed
+//!   straight to the engine: the on-disk transpose readers
 //!   ([`hyperpraw_hypergraph::io::stream::stream_hgr_file`] /
 //!   `stream_edgelist_file`) that read the input file once and never
-//!   materialise CSR,
+//!   materialise CSR, the `.hpz` reader of `hyperpraw-storage`, or
+//!   `InMemoryVertexStream` over a resident hypergraph
+//!   ([`LowMemPartitioner::partition_hypergraph`]),
 //! * global connectivity lives in budgeted memory behind the
 //!   [`ConnectivityIndex`] trait: per-partition Bloom filters answer "does
 //!   this net touch partition j?" and MinHash signatures estimate net-set

@@ -4,9 +4,7 @@
 //! budgeted connectivity state × one worker (sequential) or several (work
 //! stealing).
 
-use hyperpraw_core::engine::{
-    DoubtConfig, Engine, EngineConfig, InitialAssignment, NoCommCost, StreamSource,
-};
+use hyperpraw_core::engine::{DoubtConfig, Engine, EngineConfig, InitialAssignment, NoCommCost};
 use hyperpraw_core::{CostMatrix, HyperPrawConfig};
 use hyperpraw_hypergraph::io::stream::VertexStream;
 use hyperpraw_hypergraph::io::IoResult;
@@ -263,12 +261,8 @@ impl LowMemPartitioner {
         };
         engine_config.threads = self.config.threads;
 
-        let run = Engine::new(engine_config).run(
-            &self.cost,
-            &mut StreamSource(stream),
-            &mut provider,
-            &mut NoCommCost,
-        )?;
+        let run =
+            Engine::new(engine_config).run(&self.cost, stream, &mut provider, &mut NoCommCost)?;
         Ok(LowMemResult {
             partition: run.partition,
             alpha,

@@ -32,13 +32,13 @@ pub struct StreamedQuality {
 
 fn evaluate_with<V>(partition: &Partition, visit: V) -> IoResult<StreamedQuality>
 where
-    V: FnOnce(&mut dyn FnMut(u32, &[u32]) -> IoResult<()>) -> IoResult<()>,
+    V: FnOnce(&mut dyn FnMut(u32, &[u32], f64) -> IoResult<()>) -> IoResult<()>,
 {
     let mut cut = 0u64;
     let mut soed = 0u64;
     let mut conn = 0f64;
     let mut parts_scratch: Vec<u32> = Vec::new();
-    visit(&mut |_net, pins| {
+    visit(&mut |_net, pins, _weight| {
         parts_scratch.clear();
         for &v in pins {
             if (v as usize) >= partition.num_vertices() {
@@ -135,6 +135,15 @@ mod tests {
     use super::*;
     use hyperpraw_hypergraph::io::hmetis;
     use hyperpraw_hypergraph::{metrics, HypergraphBuilder};
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A temp-dir path unique per call, so parallel tests never share it.
+    fn scratch_path(prefix: &str) -> PathBuf {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!("{prefix}{}-{n}.hgr", std::process::id()))
+    }
 
     #[test]
     fn streamed_quality_matches_in_memory_metrics() {
@@ -146,10 +155,7 @@ mod tests {
         let hg = b.build();
         let part = Partition::from_assignment(vec![0, 0, 1, 1, 2, 2, 0, 1], 3).unwrap();
 
-        let path = std::env::temp_dir().join(format!(
-            "hyperpraw_lowmem_quality_{}.hgr",
-            std::process::id()
-        ));
+        let path = scratch_path("hyperpraw_lowmem_quality_");
         hmetis::write_hgr_file(&hg, &path).unwrap();
         let quality = evaluate_hgr_file(&path, &part).unwrap();
         std::fs::remove_file(&path).ok();
@@ -168,10 +174,7 @@ mod tests {
         // fmt=10: 2 nets, 4 vertices with weights 9, 1, 1, 9. Partition
         // [0, 1, 1, 1]: weighted loads are (9, 11) → imbalance 1.1, while
         // unit-weight counts (1, 3) would report 1.5.
-        let path = std::env::temp_dir().join(format!(
-            "hyperpraw_lowmem_quality_weighted_{}.hgr",
-            std::process::id()
-        ));
+        let path = scratch_path("hyperpraw_lowmem_quality_weighted_");
         std::fs::write(&path, "2 4 10\n1 2\n3 4\n9\n1\n1\n9\n").unwrap();
         let part = Partition::from_assignment(vec![0, 1, 1, 1], 2).unwrap();
         let quality = evaluate_hgr_file(&path, &part).unwrap();
@@ -185,10 +188,7 @@ mod tests {
 
     #[test]
     fn out_of_range_pins_are_reported() {
-        let path = std::env::temp_dir().join(format!(
-            "hyperpraw_lowmem_quality_bad_{}.hgr",
-            std::process::id()
-        ));
+        let path = scratch_path("hyperpraw_lowmem_quality_bad_");
         std::fs::write(&path, "1 9\n8 9\n").unwrap();
         let small = Partition::round_robin(3, 2);
         let err = evaluate_hgr_file(&path, &small).unwrap_err();

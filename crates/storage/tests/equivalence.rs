@@ -5,6 +5,7 @@
 //! bit-reproducible, are checked for completeness and budget instead.
 
 use std::io::Cursor;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use hyperpraw_hypergraph::generators::mesh::{mesh_hypergraph, MeshConfig};
 use hyperpraw_hypergraph::io::hmetis;
@@ -14,6 +15,14 @@ use hyperpraw_storage::{
     write_hypergraph, CachingSource, CompressedReader, MemorySource, ReadMode,
 };
 use hyperpraw_topology::{BandwidthMatrix, CostMatrix, MachineModel};
+
+/// A temp-dir path `{prefix}{pid}-{n}.{ext}`, unique per call, so tests
+/// running in parallel never share it.
+fn scratch_path(prefix: &str, ext: &str) -> std::path::PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("{prefix}{}-{n}.{ext}", std::process::id()))
+}
 
 const P: usize = 12;
 const SEED: u64 = 23;
@@ -67,7 +76,7 @@ fn compressed_streams_are_bit_identical_to_transpose_and_in_memory() {
     let bytes = cursor.into_inner();
 
     // The transpose path streams the same hypergraph from an .hgr file.
-    let hgr = std::env::temp_dir().join(format!("hpz-equivalence-{}.hgr", std::process::id()));
+    let hgr = scratch_path("hpz-equivalence-", "hgr");
     hmetis::write_hgr_file(&hg, &hgr).unwrap();
     let options = StreamOptions {
         buffer_bytes: 64 << 10,

@@ -3,6 +3,7 @@
 //! both read modes.
 
 use std::io::Cursor;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use hyperpraw_hypergraph::io::stream::{InMemoryVertexStream, VertexRecord, VertexStream};
 use hyperpraw_hypergraph::{Hypergraph, HypergraphBuilder};
@@ -10,6 +11,14 @@ use hyperpraw_storage::{
     write_hypergraph, ByteSource, CachingSource, CompressedReader, MemorySource, ReadMode,
 };
 use proptest::prelude::*;
+
+/// A temp-dir path `{prefix}{pid}-{n}.{ext}`, unique per call, so tests
+/// running in parallel never share it.
+fn scratch_path(prefix: &str, ext: &str) -> std::path::PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("{prefix}{}-{n}.{ext}", std::process::id()))
+}
 
 /// Random hypergraph: `n` vertices, up to `m` nets with 0–6 pins each
 /// (duplicates allowed — the builder dedups), optional non-unit weights.
@@ -120,7 +129,7 @@ proptest! {
 
 #[test]
 fn file_roundtrip_via_convert_file() {
-    let dir = std::env::temp_dir().join(format!("hpz-roundtrip-{}", std::process::id()));
+    let dir = scratch_path("hpz-roundtrip-", "d");
     std::fs::create_dir_all(&dir).unwrap();
     let hgr = dir.join("tiny.hgr");
     std::fs::write(&hgr, "5 6\n1 2\n2 3\n3 4\n4 1\n1 3\n").unwrap();
